@@ -13,7 +13,11 @@
 //! * [`NodeAccess`] — the page-access boundary: sequential joins plug in a
 //!   private [`rsj_storage::BufferPool`], shared-buffer parallel workers a
 //!   [`rsj_storage::SharedBufferHandle`], and `&mut A` works for reusing
-//!   one accountant across many cursors.
+//!   one accountant across many cursors. A backend that reads real pages
+//!   may also hand over their decoded nodes ([`NodeAccess::page_node`]):
+//!   a cursor opened from the trees' roots alone
+//!   ([`JoinCursor::from_roots`]) joins those, so no in-memory tree is
+//!   needed at all.
 //! * [`Meter`] — the comparison-accounting boundary: [`CmpCounter`]
 //!   (constructors [`JoinCursor::new`]/[`JoinCursor::with_tasks`]) keeps
 //!   the paper's CPU accounting bit-identical to the recursive oracle;
@@ -44,6 +48,7 @@
 //! pages are touched in which order.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule, TicketGate};
 use crate::exec::{TAG_R, TAG_S};
@@ -51,8 +56,112 @@ use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
 use crate::stats::JoinStats;
 use crate::sweep::{sort_keyed_by_xl, sorted_intersection_test_keyed, KeyedRect};
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
-use rsj_rtree::{DataId, Entry, RTree};
-use rsj_storage::{IoStats, NodeAccess, PageId};
+use rsj_rtree::{DataId, Entry, Node, RTree, TreeRoot};
+use rsj_storage::{DiskEntry, DiskNode, IoStats, NodeAccess, PageId, PageNode, StorageError};
+
+/// A node the cursor reads: borrowed from the in-memory tree, or the
+/// node a content-serving backend decoded from the page's bytes (whose
+/// directory entries it range-checked).
+#[derive(Debug, Clone)]
+pub(crate) enum NodeRef<'t> {
+    Tree(&'t Node),
+    Page(Arc<DiskNode>),
+}
+
+impl NodeRef<'_> {
+    #[inline]
+    pub(crate) fn level(&self) -> u32 {
+        match self {
+            NodeRef::Tree(n) => n.level,
+            NodeRef::Page(d) => d.level,
+        }
+    }
+
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.level() == 0
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            NodeRef::Tree(n) => n.entries.len(),
+            NodeRef::Page(d) => d.entries.len(),
+        }
+    }
+
+    /// MBR of entry `i`.
+    #[inline]
+    fn rect(&self, i: usize) -> Rect {
+        match self {
+            NodeRef::Tree(n) => n.entries[i].rect,
+            NodeRef::Page(d) => d.entries[i].rect(),
+        }
+    }
+
+    /// Child page of directory entry `i`.
+    #[inline]
+    pub(crate) fn child(&self, i: usize) -> PageId {
+        match self {
+            NodeRef::Tree(n) => RTree::child_page(&n.entries[i]),
+            NodeRef::Page(d) => PageId(d.entries[i].child as u32),
+        }
+    }
+
+    /// Data id of leaf entry `i`.
+    #[inline]
+    fn data(&self, i: usize) -> DataId {
+        match self {
+            NodeRef::Tree(n) => n.entries[i].child.data().expect("leaf entry"),
+            NodeRef::Page(d) => DataId(d.entries[i].child),
+        }
+    }
+}
+
+/// An entry's MBR, whichever representation holds it.
+trait EntryRect {
+    fn rect(&self) -> Rect;
+}
+
+impl EntryRect for Entry {
+    #[inline(always)]
+    fn rect(&self) -> Rect {
+        self.rect
+    }
+}
+
+impl EntryRect for DiskEntry {
+    #[inline(always)]
+    fn rect(&self) -> Rect {
+        let [xl, yl, xu, yu] = self.rect;
+        Rect { xl, yl, xu, yu }
+    }
+}
+
+/// One joined tree as the cursor starts from it: the root facts, plus the
+/// in-memory tree when the caller holds one. With a tree, the cursor
+/// joins that tree (the oracle, or a snapshot) and a content-serving
+/// backend only paces it; without one, it joins the page bytes.
+#[derive(Debug, Clone, Copy)]
+struct Side<'t> {
+    tree: Option<&'t RTree>,
+    root: TreeRoot,
+}
+
+impl<'t> Side<'t> {
+    fn tree(tree: &'t RTree) -> Self {
+        Side {
+            tree: Some(tree),
+            root: TreeRoot::of(tree),
+        }
+    }
+
+    /// Path-buffer depth of a node at `level` (the root is depth 0).
+    #[inline]
+    fn depth(&self, level: u32) -> usize {
+        (self.root.height - 1 - level) as usize
+    }
+}
 
 /// Which side of a directory pair is pinned during a drain.
 #[derive(Debug, Clone, Copy)]
@@ -89,9 +198,9 @@ enum DirState {
 /// […] not processed until now") in O(1) where the old code rescanned the
 /// pair list twice per pair. Empty when the plan does not pin.
 #[derive(Debug)]
-struct DirFrame {
-    rp: PageId,
-    sp: PageId,
+struct DirFrame<'t> {
+    rn: NodeRef<'t>,
+    sn: NodeRef<'t>,
     pairs: Vec<DirPair>,
     done: Vec<bool>,
     rem_r: Vec<u32>,
@@ -100,7 +209,7 @@ struct DirFrame {
     state: DirState,
 }
 
-impl DirFrame {
+impl DirFrame<'_> {
     /// Marks pair `idx` processed, maintaining the degree tables.
     #[inline]
     fn mark_done(&mut self, idx: usize) {
@@ -144,11 +253,10 @@ enum MixedState {
 /// `rem[id]` counts the not-yet-processed pairs of directory entry `id`
 /// (the sweep-pinned policy's degree table); empty for the other policies.
 #[derive(Debug)]
-struct MixedFrame {
+struct MixedFrame<'t> {
     dir_tag: u8,
-    dir_page: PageId,
-    leaf_tag: u8,
-    leaf_page: PageId,
+    dir: NodeRef<'t>,
+    leaf: NodeRef<'t>,
     /// `(dir entry index, leaf entry index)`, sweep-ordered under
     /// plane-sweep enumeration.
     pairs: Vec<(usize, usize)>,
@@ -158,15 +266,18 @@ struct MixedFrame {
 
 /// One unit of suspended work on the explicit stack.
 #[derive(Debug)]
-enum Frame {
-    /// A node pair whose pages have been charged but not yet classified.
+enum Frame<'t> {
+    /// A node pair whose pages have been charged (at levels `rl`/`sl`)
+    /// but not yet classified.
     Visit {
         rp: PageId,
         sp: PageId,
+        rl: u32,
+        sl: u32,
         rect: Rect,
     },
-    Dir(DirFrame),
-    Mixed(MixedFrame),
+    Dir(DirFrame<'t>),
+    Mixed(MixedFrame<'t>),
 }
 
 /// Reusable buffers for everything the executor would otherwise allocate
@@ -248,14 +359,14 @@ impl ExecScratch {
     }
 }
 
-/// The effective rectangle of an entry: virtually ε-expanded for distance
-/// joins, the plain MBR otherwise.
+/// The effective rectangle of an entry MBR: virtually ε-expanded for
+/// distance joins, the plain MBR otherwise.
 #[inline(always)]
-fn eff_rect(e: &Entry, eps: f64) -> Rect {
+fn eff_rect(rect: Rect, eps: f64) -> Rect {
     if eps > 0.0 {
-        e.rect.expanded(eps)
+        rect.expanded(eps)
     } else {
-        e.rect
+        rect
     }
 }
 
@@ -263,8 +374,8 @@ fn eff_rect(e: &Entry, eps: f64) -> Rect {
 /// search-space restriction, in entry order — the same tests in the same
 /// order as the recursive driver's restriction scan.
 #[inline]
-fn restrict_into<M: Meter>(
-    entries: &[Entry],
+fn restrict_into<E: EntryRect, M: Meter>(
+    entries: &[E],
     eps: f64,
     restrict: bool,
     rect: &Rect,
@@ -275,7 +386,7 @@ fn restrict_into<M: Meter>(
     keyed.reserve(entries.len());
     if restrict {
         for (i, e) in entries.iter().enumerate() {
-            let r = eff_rect(e, eps);
+            let r = eff_rect(e.rect(), eps);
             if r.intersects_counted(rect, cmp) {
                 keyed.push((r, i as u32));
             }
@@ -285,8 +396,25 @@ fn restrict_into<M: Meter>(
             entries
                 .iter()
                 .enumerate()
-                .map(|(i, e)| (eff_rect(e, eps), i as u32)),
+                .map(|(i, e)| (eff_rect(e.rect(), eps), i as u32)),
         );
+    }
+}
+
+/// [`restrict_into`] over either node representation (one dispatch per
+/// node, not per entry).
+#[inline]
+fn restrict_node<M: Meter>(
+    node: &NodeRef<'_>,
+    eps: f64,
+    restrict: bool,
+    rect: &Rect,
+    cmp: &mut M,
+    keyed: &mut Vec<KeyedRect>,
+) {
+    match node {
+        NodeRef::Tree(n) => restrict_into(&n.entries, eps, restrict, rect, cmp, keyed),
+        NodeRef::Page(d) => restrict_into(&d.entries, eps, restrict, rect, cmp, keyed),
     }
 }
 
@@ -297,9 +425,9 @@ fn restrict_into<M: Meter>(
 #[allow(clippy::too_many_arguments)]
 fn enumerate_pairs<M: Meter>(
     plan: &JoinPlan,
-    a_entries: &[Entry],
+    a: &NodeRef<'_>,
     a_eps: f64,
-    b_entries: &[Entry],
+    b: &NodeRef<'_>,
     b_eps: f64,
     rect: &Rect,
     akeyed: &mut Vec<KeyedRect>,
@@ -311,8 +439,8 @@ fn enumerate_pairs<M: Meter>(
     sort_cmp: &mut M,
     out: &mut Vec<(usize, usize)>,
 ) {
-    restrict_into(a_entries, a_eps, plan.restrict_space, rect, cmp, akeyed);
-    restrict_into(b_entries, b_eps, plan.restrict_space, rect, cmp, bkeyed);
+    restrict_node(a, a_eps, plan.restrict_space, rect, cmp, akeyed);
+    restrict_node(b, b_eps, plan.restrict_space, rect, cmp, bkeyed);
     out.clear();
     match plan.enumerate {
         Enumerate::NestedLoop => {
@@ -371,13 +499,24 @@ fn enumerate_pairs<M: Meter>(
 ///
 /// Construct with [`JoinCursor::new`] for a whole-tree counted join,
 /// [`JoinCursor::with_tasks`] for an explicit task list (the parallel
-/// worker unit), or the [`JoinCursor::raw`]/[`JoinCursor::raw_with_tasks`]
-/// twins for the meter-free raw mode; iterate, then read
-/// [`JoinCursor::stats`].
+/// worker unit), the [`JoinCursor::raw`]/[`JoinCursor::raw_with_tasks`]
+/// twins for the meter-free raw mode, or [`JoinCursor::from_roots`] to
+/// join persisted trees from their pages alone; iterate, then read
+/// [`JoinCursor::stats`] (and [`JoinCursor::error`]).
+///
+/// **Where node contents come from.** One lookup serves every node the
+/// cursor reads. Over in-memory trees it reads those trees — the oracle,
+/// or the snapshot the caller asked to join — and a backend that reads
+/// real pages ([`NodeAccess::page_node`]) only paces it: the cursor
+/// still waits for each page's read before stepping into it. From roots
+/// ([`JoinCursor::from_roots`]) it reads the nodes the backend decoded
+/// from the bytes its misses read; a child's level is checked against
+/// its parent's, and a page that fails to read or decode stops the
+/// cursor with a typed error instead of a panic.
 #[derive(Debug)]
 pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
-    r: &'t RTree,
-    s: &'t RTree,
+    r: Side<'t>,
+    s: Side<'t>,
     plan: JoinPlan,
     /// Virtual expansion of R-side rectangles (distance joins), else 0.
     eps: f64,
@@ -397,11 +536,6 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// reports the delta, so a borrowed accountant reused across cursors
     /// (e.g. a worker's `&mut SharedBufferHandle`) is not double-counted.
     io_baseline: IoStats,
-    /// Whether the backend consumes read-schedule hints
-    /// ([`NodeAccess::wants_hints`] at construction). When false the
-    /// cursor skips schedule materialization entirely, so accounting-only
-    /// backends run the exact pre-hint hot path.
-    hinting: bool,
     /// Whether the backend services misses through a completion queue
     /// ([`NodeAccess::completion_driven`] at construction). When false
     /// the iterator skips the ticket-gating machinery entirely.
@@ -411,13 +545,14 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// Machine steps taken while the front result was ticket-gated —
     /// the run-ahead budget spent since the last emission or park.
     run_ahead: u32,
-    /// Times the cursor exhausted its run-ahead budget and blocked on a
-    /// ticket ([`NodeAccess::await_settled`]) — cumulative over the
-    /// cursor's life. Telemetry only: deliberately *not* part of
+    /// Times the cursor blocked on an in-flight read — cumulative over
+    /// the cursor's life. Telemetry only: deliberately *not* part of
     /// [`JoinStats`], which is compared bit-identically across backends
     /// while parks vary with completion timing.
     parks: u64,
-    stack: Vec<Frame>,
+    /// The storage failure that stopped the cursor, if any.
+    error: Option<StorageError>,
+    stack: Vec<Frame<'t>>,
     pending: VecDeque<(DataId, DataId)>,
     scratch: ExecScratch,
 }
@@ -459,6 +594,20 @@ impl<'t, A: NodeAccess> JoinCursor<'t, A> {
     ) -> Self {
         Self::metered_with_tasks(r, s, plan, access, tasks)
     }
+
+    /// Counted cursor over two persisted trees known only by their roots
+    /// ([`TreeRoot`]): every other node comes from the pages `access`
+    /// reads, so `access` must serve page contents
+    /// ([`NodeAccess::page_node`]) — otherwise the first visit fails with
+    /// a typed error. Charges exactly like [`JoinCursor::new`] over the
+    /// same trees.
+    pub fn from_roots(r: &TreeRoot, s: &TreeRoot, plan: JoinPlan, access: A) -> Self {
+        let side = |root: &TreeRoot| Side {
+            tree: None,
+            root: *root,
+        };
+        Self::start(side(r), side(s), plan, access)
+    }
 }
 
 impl<'t, A: NodeAccess> RawJoinCursor<'t, A> {
@@ -486,13 +635,17 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// Whole-tree cursor with an explicit meter type (see
     /// [`JoinCursor::new`] / [`JoinCursor::raw`] for the common cases).
     pub fn metered(r: &'t RTree, s: &'t RTree, plan: JoinPlan, access: A) -> Self {
+        Self::start(Side::tree(r), Side::tree(s), plan, access)
+    }
+
+    fn start(r: Side<'t>, s: Side<'t>, plan: JoinPlan, access: A) -> Self {
         let mut cursor = Self::empty(r, s, plan, access, false);
-        cursor.charge(TAG_R, r.root());
-        cursor.charge(TAG_S, s.root());
+        cursor.charge(TAG_R, r.root.root, r.root.height - 1);
+        cursor.charge(TAG_S, s.root.root, s.root.height - 1);
         cursor.capture_gate();
-        if !r.is_empty() && !s.is_empty() {
-            if let Some(rect) = plan.search_space(&r.mbr(), &s.mbr()) {
-                cursor.tasks.push_back((r.root(), s.root(), rect));
+        if r.root.len > 0 && s.root.len > 0 {
+            if let Some(rect) = plan.search_space(&r.root.mbr, &s.root.mbr) {
+                cursor.tasks.push_back((r.root.root, s.root.root, rect));
             }
         }
         cursor
@@ -507,9 +660,9 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         access: A,
         tasks: impl IntoIterator<Item = (PageId, PageId, Rect)>,
     ) -> Self {
-        let mut cursor = Self::empty(r, s, plan, access, true);
+        let mut cursor = Self::empty(Side::tree(r), Side::tree(s), plan, access, true);
         cursor.tasks.extend(tasks);
-        if cursor.hinting {
+        if cursor.access.wants_hints() {
             // The whole task list is the outermost read schedule: each
             // task charges its two pages when it starts.
             cursor.scratch.sched.clear();
@@ -519,10 +672,9 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         cursor
     }
 
-    fn empty(r: &'t RTree, s: &'t RTree, plan: JoinPlan, access: A, charge_tasks: bool) -> Self {
+    fn empty(r: Side<'t>, s: Side<'t>, plan: JoinPlan, access: A, charge_tasks: bool) -> Self {
         assert_eq!(
-            r.params().page_bytes,
-            s.params().page_bytes,
+            r.root.params.page_bytes, s.root.params.page_bytes,
             "joined trees must share a page size"
         );
         let eps = plan.predicate.epsilon();
@@ -531,27 +683,26 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             "distance-join epsilon must be finite and >= 0"
         );
         let io_baseline = access.io_stats();
-        let hinting = access.wants_hints();
         let completion = access.completion_driven();
         JoinCursor {
             r,
             s,
             plan,
             eps,
-            zframe: r.mbr().union(&s.mbr()),
+            zframe: r.root.mbr.union(&s.root.mbr),
             access,
             cmp: M::default(),
             sort_cmp: M::default(),
             emitted: 0,
-            page_bytes: r.params().page_bytes,
+            page_bytes: r.root.params.page_bytes,
             tasks: VecDeque::new(),
             charge_tasks,
             io_baseline,
-            hinting,
             completion,
             gate: TicketGate::default(),
             run_ahead: 0,
             parks: 0,
+            error: None,
             stack: Vec::new(),
             pending: VecDeque::new(),
             scratch: ExecScratch::default(),
@@ -581,15 +732,27 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         }
     }
 
-    /// Times this cursor exhausted its run-ahead budget and blocked on
-    /// an in-flight read's ticket. Always 0 for blocking backends; for
-    /// completion-driven ones it is the telemetry view of how often the
-    /// lanes failed to stay ahead of the machine. Not part of
-    /// [`JoinStats`] — parks depend on completion timing, which the
-    /// bit-identical cross-backend accounting deliberately excludes.
+    /// Times this cursor blocked on an in-flight read: ticket parks of a
+    /// completion-driven backend, or waits for a page's node. Always 0
+    /// for the accounting backends. Not part of [`JoinStats`] — parks
+    /// depend on completion timing, which the bit-identical cross-backend
+    /// accounting deliberately excludes.
     #[inline]
     pub fn parks(&self) -> u64 {
         self.parks
+    }
+
+    /// The storage failure that stopped this cursor, if one did: a page
+    /// that failed to read or decode, or a node at the wrong level. The
+    /// iterator ends at the failure; the pairs yielded before it are a
+    /// partial result.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.error.as_ref()
+    }
+
+    /// Takes the failure that stopped this cursor, if any.
+    pub fn take_error(&mut self) -> Option<StorageError> {
+        self.error.take()
     }
 
     /// Consumes the cursor, returning the page-access accountant.
@@ -598,20 +761,65 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     }
 
     #[inline]
-    fn tree(&self, tag: u8) -> &'t RTree {
+    fn side(&self, tag: u8) -> &Side<'t> {
         if tag == TAG_R {
-            self.r
+            &self.r
         } else {
-            self.s
+            &self.s
         }
     }
 
-    /// Charges one page access for `tag`/`page` at its path-buffer depth.
+    /// Charges one page access for `tag`/`page`, a node at `level`.
     #[inline]
-    fn charge(&mut self, tag: u8, page: PageId) {
-        let tree = self.tree(tag);
-        let depth = tree.depth_of_level(tree.node(page).level);
+    fn charge(&mut self, tag: u8, page: PageId, level: u32) {
+        let depth = self.side(tag).depth(level);
         self.access.access(tag, page, depth);
+    }
+
+    /// The one node lookup: the node of `tag`'s `page`, expected at
+    /// `level` — from the in-memory tree when the cursor has one (after
+    /// waiting out the backend's read of the page, if it reads pages),
+    /// else from the backend's decoded page. Records the failure and
+    /// returns `None` if the page cannot serve.
+    fn node(&mut self, tag: u8, page: PageId, level: u32) -> Option<NodeRef<'t>> {
+        let tree = self.side(tag).tree;
+        let failure = loop {
+            match self.access.page_node(tag, page) {
+                PageNode::Pending(ticket) => {
+                    self.parks += 1;
+                    self.access.await_ticket(ticket);
+                }
+                _ if tree.is_some() => return tree.map(|t| NodeRef::Tree(t.node(page))),
+                PageNode::Ready(node) if node.level == level => {
+                    return Some(NodeRef::Page(node));
+                }
+                PageNode::Ready(node) => {
+                    break StorageError::Corrupt(format!(
+                        "page {page} of store {tag} is a level-{} node where level {level} \
+                         was expected",
+                        node.level
+                    ));
+                }
+                PageNode::Failed(e) => break e,
+                PageNode::InMemory => {
+                    break StorageError::Corrupt(
+                        "the backend serves no page contents and the cursor holds no \
+                         in-memory tree"
+                            .into(),
+                    );
+                }
+            }
+        };
+        self.fail(failure);
+        None
+    }
+
+    /// Stops the cursor on a storage failure (the first one is kept).
+    #[cold]
+    fn fail(&mut self, e: StorageError) {
+        if self.error.is_none() {
+            self.error = Some(e);
+        }
     }
 
     /// Records an emission barrier at the backend's latest miss ticket,
@@ -656,23 +864,23 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         }
     }
 
-    /// Runs the enumeration for the node pair `(a_entries, b_entries)`
-    /// into `scratch.raw`. `a_eps` is the R-side ε expansion (the side
+    /// Runs the enumeration for the node pair `(a, b)` into
+    /// `scratch.raw`. `a_eps` is the R-side ε expansion (the side
     /// carrying it depends on the mixed-pair orientation).
     #[inline]
     fn enumerate_into_scratch(
         &mut self,
-        a_entries: &[Entry],
+        a: &NodeRef<'_>,
         a_eps: f64,
-        b_entries: &[Entry],
+        b: &NodeRef<'_>,
         b_eps: f64,
         rect: &Rect,
     ) {
         enumerate_pairs(
             &self.plan,
-            a_entries,
+            a,
             a_eps,
-            b_entries,
+            b,
             b_eps,
             rect,
             &mut self.scratch.akeyed,
@@ -686,23 +894,48 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         );
     }
 
+    /// The level a task's page sits at: from the in-memory tree (task
+    /// lists come with trees), or the root's for the whole-tree task.
+    #[inline]
+    fn task_level(&self, tag: u8, page: PageId) -> u32 {
+        let side = self.side(tag);
+        side.tree
+            .map_or(side.root.height - 1, |t| t.node(page).level)
+    }
+
     /// Advances the machine by one unit of work. Returns `false` when all
-    /// tasks are exhausted.
+    /// tasks are exhausted, or the cursor has failed.
     #[inline]
     fn step(&mut self) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
         let Some(frame) = self.stack.pop() else {
             let Some((rp, sp, rect)) = self.tasks.pop_front() else {
                 return false;
             };
+            let (rl, sl) = (self.task_level(TAG_R, rp), self.task_level(TAG_S, sp));
             if self.charge_tasks {
-                self.charge(TAG_R, rp);
-                self.charge(TAG_S, sp);
+                self.charge(TAG_R, rp, rl);
+                self.charge(TAG_S, sp, sl);
             }
-            self.stack.push(Frame::Visit { rp, sp, rect });
+            self.stack.push(Frame::Visit {
+                rp,
+                sp,
+                rl,
+                sl,
+                rect,
+            });
             return true;
         };
         match frame {
-            Frame::Visit { rp, sp, rect } => self.visit(rp, sp, rect),
+            Frame::Visit {
+                rp,
+                sp,
+                rl,
+                sl,
+                rect,
+            } => self.visit(rp, sp, rl, sl, rect),
             Frame::Dir(f) => self.step_dir(f),
             Frame::Mixed(f) => self.step_mixed(f),
         }
@@ -712,38 +945,42 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// Classifies a charged node pair, runs the pair enumeration, and
     /// either drains it on the spot (leaf/leaf) or installs the matching
     /// resumable frame.
-    fn visit(&mut self, rp: PageId, sp: PageId, rect: Rect) {
-        let rn = self.r.node(rp);
-        let sn = self.s.node(sp);
+    fn visit(&mut self, rp: PageId, sp: PageId, rl: u32, sl: u32, rect: Rect) {
+        let Some(rn) = self.node(TAG_R, rp, rl) else {
+            return;
+        };
+        let Some(sn) = self.node(TAG_S, sp, sl) else {
+            return;
+        };
         match (rn.is_leaf(), sn.is_leaf()) {
             (true, true) => {
-                self.enumerate_into_scratch(&rn.entries, self.eps, &sn.entries, 0.0, &rect);
+                self.enumerate_into_scratch(&rn, self.eps, &sn, 0.0, &rect);
                 // Drain the whole leaf frame into `pending` in one step —
                 // no suspended frame, no per-pair pop/re-push cycle.
                 self.pending.reserve(self.scratch.raw.len());
                 for idx in 0..self.scratch.raw.len() {
                     let (ir, js) = self.scratch.raw[idx];
-                    let (r_rect, s_rect) = (rn.entries[ir].rect, sn.entries[js].rect);
-                    if self.leaf_predicate_holds(&r_rect, &s_rect) {
-                        let rid = rn.entries[ir].child.data().expect("leaf entry");
-                        let sid = sn.entries[js].child.data().expect("leaf entry");
-                        self.emit(rid, sid);
+                    if self.leaf_predicate_holds(&rn.rect(ir), &sn.rect(js)) {
+                        self.emit(rn.data(ir), sn.data(js));
                     }
                 }
             }
             (false, false) => {
-                self.enumerate_into_scratch(&rn.entries, self.eps, &sn.entries, 0.0, &rect);
-                let eps = self.eps;
+                self.enumerate_into_scratch(&rn, self.eps, &sn, 0.0, &rect);
                 let mut pairs = self.scratch.take_dir();
-                pairs.extend(self.scratch.raw.iter().map(|&(ir, js)| {
-                    DirPair {
-                        ir,
-                        js,
-                        rect: eff_rect(&rn.entries[ir], eps)
-                            .intersection(&sn.entries[js].rect)
-                            .expect("qualifying pair must intersect"),
-                    }
-                }));
+                for &(ir, js) in &self.scratch.raw {
+                    // Qualifying pairs intersect — unless the page bytes
+                    // hold coordinates no rectangle has (NaN).
+                    let Some(rect) = eff_rect(rn.rect(ir), self.eps).intersection(&sn.rect(js))
+                    else {
+                        self.fail(StorageError::Corrupt(format!(
+                            "directory entries {ir} of page {rp} and {js} of page {sp} \
+                             qualify without intersecting"
+                        )));
+                        return;
+                    };
+                    pairs.push(DirPair { ir, js, rect });
+                }
                 // The §4.3 read schedule is decided here, before any
                 // descent — ordering lives in the schedule module.
                 schedule::order_dir_pairs(
@@ -753,31 +990,28 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     &mut self.scratch.order,
                     &mut self.sort_cmp,
                 );
-                if self.hinting {
+                if self.access.wants_hints() {
                     // Announce the frame's materialized schedule tail: the
                     // child pages of every pair, in schedule order.
-                    let (rd, sd) = (
-                        self.r.depth_of_level(rn.level - 1),
-                        self.s.depth_of_level(sn.level - 1),
-                    );
+                    let (rd, sd) = (self.r.depth(rl - 1), self.s.depth(sl - 1));
                     self.scratch.sched.clear();
-                    schedule::push_dir_children(&mut self.scratch.sched, rn, sn, rd, sd, &pairs);
+                    schedule::push_dir_children(&mut self.scratch.sched, &rn, &sn, rd, sd, &pairs);
                     self.scratch.sched.announce(&mut self.access);
                 }
                 let mut done = self.scratch.take_done();
                 done.resize(pairs.len(), false);
                 let (mut rem_r, mut rem_s) = (self.scratch.take_rem(), self.scratch.take_rem());
                 if self.plan.pins() {
-                    rem_r.resize(rn.entries.len(), 0);
-                    rem_s.resize(sn.entries.len(), 0);
+                    rem_r.resize(rn.len(), 0);
+                    rem_s.resize(sn.len(), 0);
                     for p in &pairs {
                         rem_r[p.ir] += 1;
                         rem_s[p.js] += 1;
                     }
                 }
                 self.stack.push(Frame::Dir(DirFrame {
-                    rp,
-                    sp,
+                    rn,
+                    sn,
                     pairs,
                     done,
                     rem_r,
@@ -787,32 +1021,24 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 }));
             }
             // Different heights: the shorter tree bottomed out (§4.4).
-            (false, true) => self.visit_mixed(TAG_R, rp, TAG_S, sp, rect),
-            (true, false) => self.visit_mixed(TAG_S, sp, TAG_R, rp, rect),
+            (false, true) => self.visit_mixed(TAG_R, rn, TAG_S, sn, rect),
+            (true, false) => self.visit_mixed(TAG_S, sn, TAG_R, rn, rect),
         }
     }
 
     fn visit_mixed(
         &mut self,
         dir_tag: u8,
-        dir_page: PageId,
+        dir: NodeRef<'t>,
         leaf_tag: u8,
-        leaf_page: PageId,
+        leaf: NodeRef<'t>,
         rect: Rect,
     ) {
-        let dir_node = self.tree(dir_tag).node(dir_page);
-        let leaf_node = self.tree(leaf_tag).node(leaf_page);
         // R-side rectangles carry the distance-join expansion, whichever
         // side of the mixed pair they are on.
         let dir_eps = if dir_tag == TAG_R { self.eps } else { 0.0 };
         let leaf_eps = if leaf_tag == TAG_R { self.eps } else { 0.0 };
-        self.enumerate_into_scratch(
-            &dir_node.entries,
-            dir_eps,
-            &leaf_node.entries,
-            leaf_eps,
-            &rect,
-        );
+        self.enumerate_into_scratch(&dir, dir_eps, &leaf, leaf_eps, &rect);
         let mut pairs = self.scratch.take_pairs();
         pairs.extend_from_slice(&self.scratch.raw);
         let mut rem = self.scratch.take_rem();
@@ -826,7 +1052,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 // Equivalent to the old HashMap grouping, without hashing.
                 let scratch = &mut self.scratch;
                 scratch.first_seen.clear();
-                scratch.first_seen.resize(dir_node.entries.len(), u32::MAX);
+                scratch.first_seen.resize(dir.len(), u32::MAX);
                 let mut rank = 0u32;
                 for &(id, _) in &pairs {
                     if scratch.first_seen[id] == u32::MAX {
@@ -843,7 +1069,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 let mut runs = scratch.run_pool.pop().unwrap_or_default();
                 runs.clear();
                 for &(id, il) in &scratch.group {
-                    let w = leaf_node.entries[il].rect.expanded(self.eps);
+                    let w = leaf.rect(il).expanded(self.eps);
                     match runs.last_mut() {
                         Some(&mut (last, _, ref mut end)) if last == id => *end += 1,
                         _ => {
@@ -860,7 +1086,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 }
             }
             DiffHeightPolicy::SweepPinned => {
-                rem.resize(dir_node.entries.len(), 0);
+                rem.resize(dir.len(), 0);
                 for &(id, _) in &pairs {
                     rem[id] += 1;
                 }
@@ -869,19 +1095,28 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 MixedState::SweepOuter { done, k: 0 }
             }
         };
-        if self.hinting && dir_node.level > 0 {
+        if dir.level() > 0 && self.access.wants_hints() {
             // The frame's schedule: the subtree root under each pair's
-            // directory entry, queried in pair order (§4.4).
-            let depth = self.tree(dir_tag).depth_of_level(dir_node.level - 1);
+            // directory entry, in the policy's query order (§4.4).
+            let depth = self.side(dir_tag).depth(dir.level() - 1);
+            let mut seen = self.scratch.take_done();
+            let first_only = self.plan.diff_height != DiffHeightPolicy::PerPair;
             self.scratch.sched.clear();
-            schedule::push_mixed_roots(&mut self.scratch.sched, dir_tag, dir_node, depth, &pairs);
+            schedule::push_mixed_roots(
+                &mut self.scratch.sched,
+                dir_tag,
+                &dir,
+                depth,
+                &pairs,
+                first_only.then_some(&mut seen),
+            );
+            self.scratch.done_pool.push(seen);
             self.scratch.sched.announce(&mut self.access);
         }
         self.stack.push(Frame::Mixed(MixedFrame {
             dir_tag,
-            dir_page,
-            leaf_tag,
-            leaf_page,
+            dir,
+            leaf,
             pairs,
             rem,
             state,
@@ -892,27 +1127,39 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// child visit (the recursion's `process_dir_pair`). The parent frame
     /// must already be back on the stack.
     #[inline]
-    fn descend(&mut self, rp: PageId, sp: PageId, pair: DirPair) {
-        let cr = RTree::child_page(&self.r.node(rp).entries[pair.ir]);
-        let cs = RTree::child_page(&self.s.node(sp).entries[pair.js]);
-        self.charge(TAG_R, cr);
-        self.charge(TAG_S, cs);
+    fn descend(&mut self, (cr, rl): (PageId, u32), (cs, sl): (PageId, u32), rect: Rect) {
+        self.charge(TAG_R, cr, rl);
+        self.charge(TAG_S, cs, sl);
         self.stack.push(Frame::Visit {
             rp: cr,
             sp: cs,
-            rect: pair.rect,
+            rl,
+            sl,
+            rect,
         });
     }
 
     /// Returns a completed directory frame's buffers to the arena.
-    fn recycle_dir(&mut self, f: DirFrame) {
+    fn recycle_dir(&mut self, f: DirFrame<'t>) {
         self.scratch.dir_pool.push(f.pairs);
         self.scratch.done_pool.push(f.done);
         self.scratch.rem_pool.push(f.rem_r);
         self.scratch.rem_pool.push(f.rem_s);
     }
 
-    fn step_dir(&mut self, mut f: DirFrame) {
+    /// Descends into pair `idx` of `f` after putting `f` back on the
+    /// stack in `state`.
+    #[inline]
+    fn descend_pair(&mut self, mut f: DirFrame<'t>, idx: usize, state: DirState) {
+        let pair = f.pairs[idx];
+        let child_r = (f.rn.child(pair.ir), f.rn.level() - 1);
+        let child_s = (f.sn.child(pair.js), f.sn.level() - 1);
+        f.state = state;
+        self.stack.push(Frame::Dir(f));
+        self.descend(child_r, child_s, pair.rect);
+    }
+
+    fn step_dir(&mut self, mut f: DirFrame<'t>) {
         match f.state {
             DirState::NextOuter => {
                 while f.k < f.pairs.len() && f.done[f.k] {
@@ -922,11 +1169,8 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     self.recycle_dir(f);
                     return; // frame complete — stays popped
                 }
-                let pair = f.pairs[f.k];
-                let (rp, sp) = (f.rp, f.sp);
-                f.state = DirState::AfterOuter;
-                self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair);
+                let k = f.k;
+                self.descend_pair(f, k, DirState::AfterOuter);
             }
             DirState::AfterOuter => {
                 f.mark_done(f.k);
@@ -947,45 +1191,44 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     self.stack.push(Frame::Dir(f));
                     return;
                 }
-                let (side, page) = if deg_r >= deg_s {
-                    (
-                        PinSide::R(ir),
-                        RTree::child_page(&self.r.node(f.rp).entries[ir]),
-                    )
+                let (side, tag, page) = if deg_r >= deg_s {
+                    (PinSide::R(ir), TAG_R, f.rn.child(ir))
                 } else {
-                    (
-                        PinSide::S(js),
-                        RTree::child_page(&self.s.node(f.sp).entries[js]),
-                    )
-                };
-                let tag = match side {
-                    PinSide::R(_) => TAG_R,
-                    PinSide::S(_) => TAG_S,
+                    (PinSide::S(js), TAG_S, f.sn.child(js))
                 };
                 self.access.pin(tag, page);
-                if self.hinting {
+                if self.access.wants_hints() {
                     // The pin reorders the schedule: the drain's pairs run
-                    // next. Re-announce that tail in its actual order.
-                    let (rn, sn) = (self.r.node(f.rp), self.s.node(f.sp));
+                    // next, then the frame's other open pairs in order.
+                    // Re-announce that tail in its actual order.
                     let (rd, sd) = (
-                        self.r.depth_of_level(rn.level - 1),
-                        self.s.depth_of_level(sn.level - 1),
+                        self.r.depth(f.rn.level() - 1),
+                        self.s.depth(f.sn.level() - 1),
                     );
-                    let drained = f
-                        .pairs
-                        .iter()
-                        .enumerate()
-                        .skip(f.k + 1)
-                        .filter(|&(l, p)| {
-                            !f.done[l]
-                                && match side {
-                                    PinSide::R(ir) => p.ir == ir,
-                                    PinSide::S(js) => p.js == js,
-                                }
-                        })
-                        .map(|(_, p)| p);
+                    let drains = |p: &DirPair| match side {
+                        PinSide::R(ir) => p.ir == ir,
+                        PinSide::S(js) => p.js == js,
+                    };
+                    let open = || {
+                        f.pairs
+                            .iter()
+                            .enumerate()
+                            .skip(f.k + 1)
+                            .filter(|&(l, _)| !f.done[l])
+                            .map(|(_, p)| p)
+                    };
+                    let tail = open()
+                        .filter(|p| drains(p))
+                        .chain(open().filter(|p| !drains(p)));
                     self.scratch.sched.clear();
-                    schedule::push_dir_children(&mut self.scratch.sched, rn, sn, rd, sd, drained);
+                    schedule::push_dir_children(
+                        &mut self.scratch.sched,
+                        &f.rn,
+                        &f.sn,
+                        rd,
+                        sd,
+                        tail,
+                    );
                     self.scratch.sched.announce(&mut self.access);
                 }
                 f.state = DirState::Drain {
@@ -1017,15 +1260,15 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     l += 1;
                 }
                 f.mark_done(l);
-                let pair = f.pairs[l];
-                let (rp, sp) = (f.rp, f.sp);
-                f.state = DirState::Drain {
-                    side,
-                    page,
-                    l: l + 1,
-                };
-                self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair);
+                self.descend_pair(
+                    f,
+                    l,
+                    DirState::Drain {
+                        side,
+                        page,
+                        l: l + 1,
+                    },
+                );
             }
         }
     }
@@ -1036,17 +1279,16 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         self.scratch.rem_pool.push(rem);
     }
 
-    fn step_mixed(&mut self, mut f: MixedFrame) {
+    fn step_mixed(&mut self, mut f: MixedFrame<'t>) {
         match f.state {
             MixedState::PerPair { i } => {
                 let Some(&(id, il)) = f.pairs.get(i) else {
                     self.recycle_mixed(f.pairs, f.rem);
                     return; // frame complete
                 };
+                self.window_query_pair(f.dir_tag, &f.dir, &f.leaf, id, il);
                 f.state = MixedState::PerPair { i: i + 1 };
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
                 self.stack.push(Frame::Mixed(f));
-                self.window_query_pair(dt, dp, lt, lp, id, il);
             }
             MixedState::Batched { windows, runs, i } => {
                 let Some(&(id, start, end)) = runs.get(i) else {
@@ -1055,8 +1297,8 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     self.recycle_mixed(f.pairs, f.rem);
                     return; // frame complete
                 };
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
-                self.multi_window_query(dt, dp, lt, lp, id, &windows[start as usize..end as usize]);
+                let batch = &windows[start as usize..end as usize];
+                self.multi_window_query(f.dir_tag, &f.dir, &f.leaf, id, batch);
                 f.state = MixedState::Batched {
                     windows,
                     runs,
@@ -1076,16 +1318,14 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 let (id, il) = f.pairs[k];
                 done[k] = true;
                 f.rem[id] -= 1;
-                let deg = f.rem[id];
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
                 // The window query of pair k runs first either way (the
                 // recursion queries, then pins for the drain).
-                if deg == 0 {
+                self.window_query_pair(f.dir_tag, &f.dir, &f.leaf, id, il);
+                if f.rem[id] == 0 {
                     f.state = MixedState::SweepOuter { done, k: k + 1 };
-                    self.stack.push(Frame::Mixed(f));
-                    self.window_query_pair(dt, dp, lt, lp, id, il);
                 } else {
-                    let page = RTree::child_page(&self.tree(dt).node(dp).entries[id]);
+                    let page = f.dir.child(id);
+                    self.access.pin(f.dir_tag, page);
                     f.state = MixedState::SweepDrain {
                         done,
                         k,
@@ -1093,10 +1333,8 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                         page,
                         l: k + 1,
                     };
-                    self.stack.push(Frame::Mixed(f));
-                    self.window_query_pair(dt, dp, lt, lp, id, il);
-                    self.access.pin(dt, page);
                 }
+                self.stack.push(Frame::Mixed(f));
             }
             MixedState::SweepDrain {
                 mut done,
@@ -1117,7 +1355,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 let (_, il) = f.pairs[l];
                 done[l] = true;
                 f.rem[id] -= 1;
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
+                self.window_query_pair(f.dir_tag, &f.dir, &f.leaf, id, il);
                 f.state = MixedState::SweepDrain {
                     done,
                     k,
@@ -1126,43 +1364,30 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     l: l + 1,
                 };
                 self.stack.push(Frame::Mixed(f));
-                self.window_query_pair(dt, dp, lt, lp, id, il);
             }
         }
     }
 
-    /// Policy (a)/(c) unit: one window query with the leaf entry's rect
-    /// into the subtree of the directory entry. Hits are emitted through
-    /// the pending queue; I/O and comparisons are charged eagerly, so the
-    /// buffer sees the same sequence as in the recursion.
+    /// Policy (a)/(c) unit: one window query with the rect of `leaf`'s
+    /// entry `il` into the subtree of `dir`'s entry `id`. Hits are
+    /// emitted through the pending queue; I/O and comparisons are charged
+    /// eagerly, so the buffer sees the same sequence as in the recursion.
     fn window_query_pair(
         &mut self,
         dir_tag: u8,
-        dir_page: PageId,
-        leaf_tag: u8,
-        leaf_page: PageId,
+        dir: &NodeRef<'t>,
+        leaf: &NodeRef<'t>,
         id: usize,
         il: usize,
     ) {
-        let dir_tree = self.tree(dir_tag);
-        let dir_node = dir_tree.node(dir_page);
-        let leaf_entry = &self.tree(leaf_tag).node(leaf_page).entries[il];
-        let leaf_id = leaf_entry.child.data().expect("leaf entry");
-        let child = RTree::child_page(&dir_node.entries[id]);
+        let leaf_rect = leaf.rect(il);
+        let leaf_id = leaf.data(il);
         // The ε expansion commutes across sides, so the query window
         // absorbs it regardless of which tree is the directory side.
-        let window = leaf_entry.rect.expanded(self.eps);
-        let leaf_rect = leaf_entry.rect;
+        let window = leaf_rect.expanded(self.eps);
         let mut hits = std::mem::take(&mut self.scratch.hits);
         hits.clear();
-        dir_tree.window_query_charged(
-            child,
-            &window,
-            &mut self.cmp,
-            dir_tag,
-            &mut self.access,
-            &mut hits,
-        );
+        self.window_query(dir_tag, dir.child(id), dir.level() - 1, &window, &mut hits);
         self.pending.reserve(hits.len());
         for &(hit_rect, did) in &hits {
             let (r_rect, s_rect) = if dir_tag == TAG_R {
@@ -1182,33 +1407,22 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         self.scratch.hits = hits;
     }
 
-    /// Policy (b) unit: all qualifying leaf windows of one directory entry
-    /// in a single traversal.
+    /// Policy (b) unit: all qualifying `leaf` windows of `dir`'s entry
+    /// `id` in a single traversal.
     fn multi_window_query(
         &mut self,
         dir_tag: u8,
-        dir_page: PageId,
-        leaf_tag: u8,
-        leaf_page: PageId,
+        dir: &NodeRef<'t>,
+        leaf: &NodeRef<'t>,
         id: usize,
         windows: &[(usize, Rect)],
     ) {
-        let dir_tree = self.tree(dir_tag);
-        let leaf_node = self.tree(leaf_tag).node(leaf_page);
-        let child = RTree::child_page(&dir_tree.node(dir_page).entries[id]);
         let mut hits = std::mem::take(&mut self.scratch.multi_hits);
         hits.clear();
-        dir_tree.multi_window_query_charged(
-            child,
-            windows,
-            &mut self.cmp,
-            dir_tag,
-            &mut self.access,
-            &mut hits,
-        );
+        self.multi_window_query_from(dir_tag, dir.child(id), dir.level() - 1, windows, &mut hits);
         self.pending.reserve(hits.len());
         for &(il, hit_rect, did) in &hits {
-            let leaf_rect = leaf_node.entries[il].rect;
+            let leaf_rect = leaf.rect(il);
             let (r_rect, s_rect) = if dir_tag == TAG_R {
                 (hit_rect, leaf_rect)
             } else {
@@ -1217,7 +1431,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             if !self.leaf_predicate_holds(&r_rect, &s_rect) {
                 continue;
             }
-            let leaf_id = leaf_node.entries[il].child.data().expect("leaf entry");
+            let leaf_id = leaf.data(il);
             if dir_tag == TAG_R {
                 self.emit(did, leaf_id);
             } else {
@@ -1225,6 +1439,86 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             }
         }
         self.scratch.multi_hits = hits;
+    }
+
+    /// Window query over the subtree at `page` (a level-`level` node of
+    /// `tag`'s tree): charges each node as it is visited, then tests its
+    /// entries in order — the access and comparison sequence of the
+    /// rtree crate's charged window query, over the cursor's node lookup.
+    fn window_query(
+        &mut self,
+        tag: u8,
+        page: PageId,
+        level: u32,
+        window: &Rect,
+        out: &mut Vec<(Rect, DataId)>,
+    ) {
+        self.charge(tag, page, level);
+        let Some(node) = self.node(tag, page, level) else {
+            return;
+        };
+        for i in 0..node.len() {
+            let rect = node.rect(i);
+            if !rect.intersects_counted(window, &mut self.cmp) {
+                continue;
+            }
+            if node.is_leaf() {
+                out.push((rect, node.data(i)));
+            } else {
+                self.window_query(tag, node.child(i), level - 1, window, out);
+                if self.error.is_some() {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Batched multi-window query (policy (b) of §4.4) over the subtree at
+    /// `page`: a child is descended once if any window intersects its MBR,
+    /// carrying only the windows that do — the rtree crate's charged
+    /// multi-window query, over the cursor's node lookup.
+    fn multi_window_query_from(
+        &mut self,
+        tag: u8,
+        page: PageId,
+        level: u32,
+        windows: &[(usize, Rect)],
+        out: &mut Vec<(usize, Rect, DataId)>,
+    ) {
+        if windows.is_empty() {
+            return;
+        }
+        self.charge(tag, page, level);
+        let Some(node) = self.node(tag, page, level) else {
+            return;
+        };
+        if node.is_leaf() {
+            for i in 0..node.len() {
+                let rect = node.rect(i);
+                for &(il, w) in windows {
+                    if rect.intersects_counted(&w, &mut self.cmp) {
+                        out.push((il, rect, node.data(i)));
+                    }
+                }
+            }
+            return;
+        }
+        let mut surviving = Vec::new();
+        for i in 0..node.len() {
+            let rect = node.rect(i);
+            surviving.clear();
+            for &(il, w) in windows {
+                if rect.intersects_counted(&w, &mut self.cmp) {
+                    surviving.push((il, w));
+                }
+            }
+            if !surviving.is_empty() {
+                self.multi_window_query_from(tag, node.child(i), level - 1, &surviving, out);
+                if self.error.is_some() {
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -1239,6 +1533,9 @@ impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
     /// a blocking wait, never a poll loop).
     fn next_completion(&mut self) -> Option<(DataId, DataId)> {
         loop {
+            if self.error.is_some() {
+                return None;
+            }
             if !self.pending.is_empty() {
                 match self.gate.blocking(self.emitted, &self.access) {
                     None => {
@@ -1289,6 +1586,11 @@ impl<A: NodeAccess, M: Meter> Iterator for JoinCursor<'_, A, M> {
                 return Some(pair);
             }
             if !self.step() {
+                return None;
+            }
+            if self.error.is_some() {
+                // A failed step may have queued partial results.
+                self.pending.clear();
                 return None;
             }
         }

@@ -29,10 +29,11 @@
 
 use std::collections::VecDeque;
 
+use crate::exec::cursor::NodeRef;
 use crate::exec::{TAG_R, TAG_S};
 use crate::plan::JoinPlan;
 use rsj_geom::{zorder, Meter, Rect};
-use rsj_rtree::{Node, RTree};
+use rsj_rtree::RTree;
 use rsj_storage::{NodeAccess, PageId, PageRef, Ticket};
 
 /// A scheduled directory pair: entry indices plus the intersection of the
@@ -202,38 +203,53 @@ pub(crate) fn order_dir_pairs<M: Meter>(
 /// produce. `rn`/`sn` are the parent nodes the pair indices point into.
 pub(crate) fn push_dir_children<'p>(
     out: &mut ReadSchedule,
-    rn: &Node,
-    sn: &Node,
+    rn: &NodeRef<'_>,
+    sn: &NodeRef<'_>,
     r_child_depth: usize,
     s_child_depth: usize,
     pairs: impl IntoIterator<Item = &'p DirPair>,
 ) {
     for p in pairs {
-        out.push(TAG_R, RTree::child_page(&rn.entries[p.ir]), r_child_depth);
-        out.push(TAG_S, RTree::child_page(&sn.entries[p.js]), s_child_depth);
+        out.push(TAG_R, rn.child(p.ir), r_child_depth);
+        out.push(TAG_S, sn.child(p.js), s_child_depth);
     }
 }
 
 /// Pushes the subtree roots a mixed directory × leaf frame will query:
-/// the directory child of each pair's entry, in pair order, with
+/// the directory child of each pair's entry, in the order the frame's
+/// policy queries them — pair order for per-pair queries, with
 /// consecutive repeats collapsed (a run of pairs on one entry descends
-/// that child once per query, which the path buffer makes one access).
+/// that child once per query, which the path buffer makes one access);
+/// first-occurrence order when `seen` is given (the batched and the
+/// sweep-pinned policies finish every pair of an entry before moving
+/// on). `seen` is scratch, resized to the node's entry count.
 pub(crate) fn push_mixed_roots(
     out: &mut ReadSchedule,
     dir_tag: u8,
-    dir_node: &Node,
+    dir_node: &NodeRef<'_>,
     dir_child_depth: usize,
     pairs: &[(usize, usize)],
+    seen: Option<&mut Vec<bool>>,
 ) {
-    let mut last = usize::MAX;
-    for &(id, _) in pairs {
-        if id != last {
-            out.push(
-                dir_tag,
-                RTree::child_page(&dir_node.entries[id]),
-                dir_child_depth,
-            );
-            last = id;
+    let mut push = |id| out.push(dir_tag, dir_node.child(id), dir_child_depth);
+    match seen {
+        Some(seen) => {
+            seen.clear();
+            seen.resize(dir_node.len(), false);
+            for &(id, _) in pairs {
+                if !std::mem::replace(&mut seen[id], true) {
+                    push(id);
+                }
+            }
+        }
+        None => {
+            let mut last = usize::MAX;
+            for &(id, _) in pairs {
+                if id != last {
+                    push(id);
+                    last = id;
+                }
+            }
         }
     }
 }

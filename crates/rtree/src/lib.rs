@@ -59,5 +59,6 @@ pub use knn::Neighbor;
 pub use node::{ChildRef, DataId, Entry, Node};
 pub use open_tree::{OpenCachedTree, OpenFileTree, OpenShardedTree, OpenTree};
 pub use params::{InsertPolicy, RTreeParams};
+pub use persist::TreeRoot;
 pub use stats::TreeStats;
 pub use tree::RTree;

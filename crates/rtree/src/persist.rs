@@ -219,6 +219,60 @@ fn assemble(
     Ok(tree)
 }
 
+/// A persisted tree as a reader starts from it: the header's metadata
+/// and the root page, and nothing else — what a join needs to begin
+/// before it reads (and charges) any other page.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TreeRoot {
+    /// The root page.
+    pub root: PageId,
+    /// Number of levels (the root's level plus one).
+    pub height: u32,
+    /// Number of data entries.
+    pub len: usize,
+    /// MBR of the whole tree ([`Rect::empty`] if it is empty).
+    pub mbr: Rect,
+    /// Structural parameters.
+    pub params: RTreeParams,
+}
+
+impl TreeRoot {
+    /// The root facts of an in-memory tree.
+    pub fn of(tree: &RTree) -> Self {
+        TreeRoot {
+            root: tree.root(),
+            height: tree.height(),
+            len: tree.len(),
+            mbr: tree.mbr(),
+            params: *tree.params(),
+        }
+    }
+
+    /// Reads an open page file's root page — exactly one page read —
+    /// and combines it with the header's metadata. The root is decoded
+    /// and range-checked like any page.
+    pub fn load(file: &mut PageFile) -> Result<Self, StorageError> {
+        let page_count = file.page_count();
+        if page_count == 0 {
+            return Err(StorageError::Corrupt("page file holds no pages".into()));
+        }
+        let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
+        let mut buf = Vec::new();
+        file.read_page_into(root, &mut buf)?;
+        let node = from_disk(
+            codec::decode_node_fmt(&buf, file.entry_format())?,
+            page_count,
+        )?;
+        Ok(TreeRoot {
+            root,
+            height: node.level + 1,
+            len,
+            mbr: node.mbr(),
+            params,
+        })
+    }
+}
+
 impl RTree {
     /// Physical slot size for this tree: the params' capacity, but never
     /// below the fattest node actually present (defensive: a saved tree
@@ -455,6 +509,25 @@ mod tests {
             let p = PageId(id as u32);
             assert_eq!(back.node(p), tree.node(p), "page {p}");
         }
+    }
+
+    #[test]
+    fn tree_root_reads_the_root_page_only() {
+        let dir = TempDir::new("rtree-persist").unwrap();
+        let tree = build(400);
+        let path = dir.file("t.rsj");
+        tree.save_to(&path).unwrap();
+        let mut file = PageFile::open(&path).unwrap();
+        let root = TreeRoot::load(&mut file).unwrap();
+        assert_eq!(file.reads(), 1, "header plus exactly one page: the root");
+        assert_eq!(root, TreeRoot::of(&tree));
+        assert!(root.height > 1, "the fixture must have directory levels");
+
+        let empty = RTree::new(RTreeParams::explicit(256, 8, 3, InsertPolicy::RStar));
+        let path = dir.file("e.rsj");
+        empty.save_to(&path).unwrap();
+        let root = TreeRoot::load(&mut PageFile::open(&path).unwrap()).unwrap();
+        assert_eq!(root, TreeRoot::of(&empty));
     }
 
     #[test]

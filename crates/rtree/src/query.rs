@@ -21,7 +21,7 @@
 use crate::node::DataId;
 use crate::tree::RTree;
 use rsj_geom::{CmpCounter, Meter, Point, Rect};
-use rsj_storage::{NodeAccess, PageId};
+use rsj_storage::PageId;
 
 impl RTree {
     /// Window query over the whole tree: all data entries whose MBR
@@ -102,51 +102,6 @@ impl RTree {
                 self.multi_window_query_from(Self::child_page(e), &surviving, cmp, on_access, out);
             }
         }
-    }
-
-    /// [`RTree::window_query_from`] charging page accesses to a buffer
-    /// hierarchy through [`NodeAccess`] — the storage/tree boundary the
-    /// join executors use. `store` tags this tree in the accountant.
-    pub fn window_query_charged<M: Meter, A: NodeAccess>(
-        &self,
-        start: PageId,
-        window: &Rect,
-        cmp: &mut M,
-        store: u8,
-        access: &mut A,
-        out: &mut Vec<(Rect, DataId)>,
-    ) {
-        self.window_query_from(
-            start,
-            window,
-            cmp,
-            &mut |page, level| {
-                access.access(store, page, self.depth_of_level(level));
-            },
-            out,
-        );
-    }
-
-    /// [`RTree::multi_window_query_from`] charging page accesses through
-    /// [`NodeAccess`] (see [`RTree::window_query_charged`]).
-    pub fn multi_window_query_charged<T: Copy, M: Meter, A: NodeAccess>(
-        &self,
-        start: PageId,
-        windows: &[(T, Rect)],
-        cmp: &mut M,
-        store: u8,
-        access: &mut A,
-        out: &mut Vec<(T, Rect, DataId)>,
-    ) {
-        self.multi_window_query_from(
-            start,
-            windows,
-            cmp,
-            &mut |page, level| {
-                access.access(store, page, self.depth_of_level(level));
-            },
-            out,
-        );
     }
 
     /// Point query: all data entries whose MBR contains `p`.

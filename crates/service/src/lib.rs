@@ -1,11 +1,14 @@
 //! # rsj-service — a long-lived join service over the warm shared cache
 //!
 //! [`JoinService`] wraps the streaming executor the way a server wraps
-//! a storage engine: the trees are opened once, every query runs over
-//! one warm [`SharedPageCache`] (so steady-state requests perform zero
-//! physical reads), and the paper's bit-exact I/O accounting keeps
-//! flowing per query — each request still reports [`JoinStats`]
-//! identical to a private `BufferPool` oracle of the same capacity.
+//! a storage engine: the trees are opened once — from their headers and
+//! root pages only — every query joins the nodes decoded from the pages
+//! it reads through one warm [`SharedPageCache`] (so steady-state
+//! requests perform zero physical reads), and the paper's bit-exact I/O
+//! accounting keeps flowing per query — each request still reports
+//! [`JoinStats`] identical to a private `BufferPool` oracle of the same
+//! capacity. A page that fails to read or decode fails only the query
+//! that needed it ([`ServiceError::Storage`]).
 //!
 //! Three serving concerns live here, all first-class:
 //!
@@ -41,7 +44,7 @@ use std::sync::Arc;
 
 use rsj_core::exec::JoinCursor;
 use rsj_core::{JoinPlan, JoinStats};
-use rsj_rtree::{DataId, RTree};
+use rsj_rtree::{DataId, TreeRoot};
 use rsj_storage::{CacheConfig, PageFile, SharedPageCache, StorageError};
 use rsj_telemetry::{Disabled, Live, Recorder, Registry};
 
@@ -91,7 +94,8 @@ impl Default for ServiceConfig {
 pub enum ServiceError {
     /// Both admission bounds were full; try again later.
     Overloaded(Overloaded),
-    /// Opening or reading the underlying stores failed.
+    /// Opening the underlying stores failed, or a page a query needed
+    /// did not read or decode.
     Storage(StorageError),
 }
 
@@ -134,9 +138,15 @@ pub struct QueryResponse {
 }
 
 /// A long-lived join service over two persisted trees (module docs).
+///
+/// What stays resident: the two file headers' facts and root summaries
+/// ([`TreeRoot`]), the frame pool's decoded frames, and per running
+/// query the decoded nodes of the pages its logical buffers hold. No
+/// in-memory tree.
 pub struct JoinService {
-    r: RTree,
-    s: RTree,
+    roots: [TreeRoot; 2],
+    /// Page reads `open` made outside the frame pool (the two roots).
+    open_reads: u64,
     cache: Arc<SharedPageCache>,
     handle_pages: usize,
     admission: Admission,
@@ -148,16 +158,18 @@ pub struct JoinService {
 }
 
 impl JoinService {
-    /// Opens the trees at `r_path`/`s_path` and provisions the shared
-    /// cache and admission layer.
+    /// Opens the trees at `r_path`/`s_path` — each file's header and
+    /// root page, nothing else — and provisions the shared cache and
+    /// admission layer.
     pub fn open(r_path: &Path, s_path: &Path, cfg: ServiceConfig) -> Result<Self, ServiceError> {
-        let r = RTree::open_from(r_path)?;
-        let s = RTree::open_from(s_path)?;
-        let heights = [r.height() as usize, s.height() as usize];
+        let (mut r_file, mut s_file) = (PageFile::open(r_path)?, PageFile::open(s_path)?);
+        let roots = [TreeRoot::load(&mut r_file)?, TreeRoot::load(&mut s_file)?];
+        let open_reads = r_file.reads() + s_file.reads();
+        let heights = roots.map(|t| t.height as usize);
         let cache_pages = if cfg.cache_pages > 0 {
             cfg.cache_pages
         } else {
-            (PageFile::open(r_path)?.page_count() + PageFile::open(s_path)?.page_count()) as usize
+            (r_file.page_count() + s_file.page_count()) as usize
         };
         let cache = SharedPageCache::open(
             &[r_path.to_path_buf(), s_path.to_path_buf()],
@@ -179,8 +191,8 @@ impl JoinService {
             metrics.queue_depth.clone(),
         );
         Ok(JoinService {
-            r,
-            s,
+            roots,
+            open_reads,
             cache,
             handle_pages,
             admission,
@@ -263,13 +275,18 @@ impl JoinService {
         let t_plan = now_if::<R>();
         let handle = self.cache.handle(self.handle_pages);
         let mut access = InstrumentedAccess::<_, R>::new(handle);
-        let mut cursor = JoinCursor::new(&self.r, &self.s, plan, &mut access);
+        let [r, s] = &self.roots;
+        let mut cursor = JoinCursor::from_roots(r, s, plan, &mut access);
         let plan_us = us_since(t_plan);
 
         // drive: join compute + blocked-on-read time, separated below.
         let t_drive = now_if::<R>();
         for (a, b) in &mut cursor {
             sink(a, b);
+        }
+        if let Some(e) = cursor.take_error() {
+            R::add(&self.metrics.queries_failed, 1);
+            return Err(e.into());
         }
         let stats = cursor.stats();
         let parks = cursor.parks();
@@ -353,9 +370,11 @@ impl JoinService {
         self.cache.hit_ratio()
     }
 
-    /// The served trees, `(R, S)`.
-    pub fn trees(&self) -> (&RTree, &RTree) {
-        (&self.r, &self.s)
+    /// Page reads [`JoinService::open`] made besides the file headers:
+    /// one root page per tree. Everything else is read through the frame
+    /// pool, by the queries that need it.
+    pub fn open_reads(&self) -> u64 {
+        self.open_reads
     }
 
     /// Opens a [`Session`]: one plan, queried repeatedly.

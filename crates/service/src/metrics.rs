@@ -15,14 +15,14 @@
 //!
 //! | family | kind | labels | meaning |
 //! |---|---|---|---|
-//! | `rsj_service_queries_total` | counter | `outcome` | completed (`ok`) vs rejected (`overloaded`) queries |
+//! | `rsj_service_queries_total` | counter | `outcome` | completed (`ok`), rejected (`overloaded`) and storage-failed (`error`) queries |
 //! | `rsj_service_in_flight` | gauge | | queries holding admission permits |
 //! | `rsj_service_queue_depth` | gauge | | callers parked in the admission queue |
 //! | `rsj_service_queue_wait_us` | histogram | | time-in-queue of admitted queries |
 //! | `rsj_service_query_us` | histogram | | end-to-end query latency |
 //! | `rsj_service_stage_us` | histogram | `stage` | queue/plan/io/join/emit split (see span docs) |
 //! | `rsj_service_pairs` | histogram | | result pairs per query |
-//! | `rsj_service_parks_total` | counter | | cursor run-ahead parks |
+//! | `rsj_service_parks_total` | counter | | times a cursor blocked on an in-flight read |
 //! | `rsj_cache_reads` | gauge | `kind` | physical vs logical read split |
 //! | `rsj_cache_physical_reads` | gauge | `store` | per-store physical read split |
 //! | `rsj_cache_hits` | gauge | `kind` | resident / adopted / drain-served hits |
@@ -50,6 +50,7 @@ pub const STAGES: [&str; 5] = ["queue", "plan", "io", "join", "emit"];
 pub(crate) struct ServiceMetrics {
     pub queries_ok: Arc<Counter>,
     pub queries_overloaded: Arc<Counter>,
+    pub queries_failed: Arc<Counter>,
     pub in_flight: Arc<Gauge>,
     pub queue_depth: Arc<Gauge>,
     pub queue_wait_us: Arc<Histogram>,
@@ -79,6 +80,11 @@ impl ServiceMetrics {
                 "queries by outcome",
                 &[("outcome", "overloaded")],
             ),
+            queries_failed: registry.counter(
+                "rsj_service_queries_total",
+                "queries by outcome",
+                &[("outcome", "error")],
+            ),
             in_flight: registry.gauge(
                 "rsj_service_in_flight",
                 "queries holding admission permits",
@@ -103,7 +109,7 @@ impl ServiceMetrics {
             pairs: registry.histogram("rsj_service_pairs", "result pairs per query", &[]),
             parks: registry.counter(
                 "rsj_service_parks_total",
-                "cursor run-ahead parks (blocked on an in-flight read)",
+                "times a cursor blocked on an in-flight read",
                 &[],
             ),
         }

@@ -15,9 +15,11 @@
 //!   cursor (schedule materialization included);
 //! * **io** — wall time the driver was *blocked on reads*: the summed
 //!   durations of `await_ticket`/`await_settled`/`drain_completions`
-//!   measured inside [`InstrumentedAccess`]. Submission itself is
-//!   asynchronous and costs nanoseconds; what hurts a query is
-//!   waiting, and that is exactly what this stage counts;
+//!   measured inside [`InstrumentedAccess`] — for the frame-pool
+//!   backend, the waits for a demanded page whose read (or read-ahead)
+//!   is still in flight. Submission itself is asynchronous and costs
+//!   nanoseconds; what hurts a query is waiting, and that is exactly
+//!   what this stage counts;
 //! * **join** — drive-loop time minus io: comparisons, sweeps, scratch
 //!   work, and the per-pair sink;
 //! * **emit** — response assembly and telemetry recording after the
@@ -30,7 +32,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use rsj_storage::{IoStats, NodeAccess, PageId, PageRef, Ticket};
+use rsj_storage::{IoStats, NodeAccess, PageId, PageNode, PageRef, Ticket};
 use rsj_telemetry::Recorder;
 
 /// One query's stage split, all in microseconds. `total_us` is
@@ -132,6 +134,11 @@ impl<A: NodeAccess, R: Recorder> NodeAccess for InstrumentedAccess<A, R> {
 
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
+    }
+
+    #[inline]
+    fn page_node(&mut self, store: u8, page: PageId) -> PageNode {
+        self.inner.page_node(store, page)
     }
 
     fn wants_hints(&self) -> bool {

@@ -1,10 +1,13 @@
 //! The page-access abstraction at the storage/tree boundary.
 //!
-//! Join execution never touches page payloads through the buffer layer —
-//! trees hand out charge-free borrows ([`crate::PageStore::peek`]) and the
-//! executor *reports* every logical page access so the buffer hierarchy can
-//! answer the paper's question: "would this access have gone to disk?"
-//! [`NodeAccess`] is that reporting interface. Implementations:
+//! The executor *reports* every logical page access so the buffer
+//! hierarchy can answer the paper's question: "would this access have
+//! gone to disk?" [`NodeAccess`] is that reporting interface. Where the
+//! node contents come from is the backend's call
+//! ([`NodeAccess::page_node`]): the accounting backends leave them to the
+//! in-memory tree (charge-free borrows, [`crate::PageStore::peek`]), while
+//! [`crate::SharedCacheFileAccess`] hands the executor the node decoded
+//! from the very bytes its miss read. Implementations:
 //!
 //! * [`crate::BufferPool`] — the sequential stack of §4.1 (path buffer →
 //!   LRU → disk), owned by one executor;
@@ -53,7 +56,9 @@
 //! [`NodeAccess::await_ticket`]. Synchronous backends keep the defaults:
 //! no tickets, everything always complete.
 
-use crate::codec::StorageError;
+use std::sync::Arc;
+
+use crate::codec::{DiskNode, StorageError};
 use crate::page::PageId;
 use crate::pool::IoStats;
 
@@ -94,6 +99,22 @@ impl PageRef {
     }
 }
 
+/// What a backend hands the executor for a page it charged
+/// ([`NodeAccess::page_node`]).
+#[derive(Debug)]
+pub enum PageNode {
+    /// The backend holds no page contents: read the in-memory tree.
+    InMemory,
+    /// The node decoded from the page's bytes, every directory entry's
+    /// child range-checked against its store ([`crate::codec::child_page`]).
+    Ready(Arc<DiskNode>),
+    /// The page's read is still in flight: wait for the ticket
+    /// ([`NodeAccess::await_ticket`]), then ask again.
+    Pending(Ticket),
+    /// The page's bytes could not be read or do not decode.
+    Failed(StorageError),
+}
+
 /// Records logical page accesses and pinning against a buffer hierarchy.
 ///
 /// `store` tags which participating tree/store a page belongs to (pages of
@@ -113,10 +134,19 @@ pub trait NodeAccess {
     /// I/O statistics accumulated by this accountant so far.
     fn io_stats(&self) -> IoStats;
 
-    /// Whether this backend does anything with read-schedule hints.
-    /// Executors may skip materializing schedules entirely when this is
-    /// `false` (the default), so accounting-only backends pay nothing
-    /// for the hint machinery.
+    /// The contents of `store`'s `page`, which the executor charged
+    /// through [`NodeAccess::access`] and has not stepped past. Default:
+    /// [`PageNode::InMemory`] — the accounting backends leave contents
+    /// to the in-memory tree.
+    fn page_node(&mut self, _store: u8, _page: PageId) -> PageNode {
+        PageNode::InMemory
+    }
+
+    /// Whether this backend does anything with read-schedule hints right
+    /// now. Executors ask before materializing each schedule and skip it
+    /// when this is `false` (the default), so accounting-only backends —
+    /// and a read-ahead backend over a warm pool — pay nothing for the
+    /// hint machinery.
     fn wants_hints(&self) -> bool {
         false
     }
@@ -236,6 +266,10 @@ impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
 
     fn io_stats(&self) -> IoStats {
         (**self).io_stats()
+    }
+
+    fn page_node(&mut self, store: u8, page: PageId) -> PageNode {
+        (**self).page_node(store, page)
     }
 
     fn wants_hints(&self) -> bool {

@@ -13,7 +13,11 @@
 //! the whole deployment, frames carry a state machine, a pin counter and
 //! a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint), and
 //! all physical reads flow through one [`CompletionQueue`] with a lane
-//! per store.
+//! per store. Frames hold *decoded nodes*: the bytes a read brings in
+//! are decoded once ([`codec::decode_node_fmt`], every directory entry's
+//! child range-checked with [`codec::child_page`]) and served to every
+//! reader of the frame, so a join over the cache consumes the pages it
+//! reads instead of an in-memory copy of the tree.
 //!
 //! ## Frame states
 //!
@@ -33,18 +37,25 @@
 //!
 //! * **Empty → Reading**: a miss installs the frame, pins it for the
 //!   duration of the read (a reading frame is never an eviction victim)
-//!   and submits a single pread to the queue. Concurrent demanders of
-//!   the same key — from any worker — find the frame in `Reading` and
-//!   adopt the *same* in-flight ticket instead of issuing a duplicate
-//!   pread: single-flight.
+//!   and submits a single pread to the queue — ahead of queued
+//!   read-ahead on its lane; a handle's read-ahead enters the same way
+//!   behind it. Concurrent demanders of the same key — from any worker —
+//!   find the frame in `Reading` and adopt the *same* in-flight ticket
+//!   instead of issuing a duplicate pread: single-flight. A reader that
+//!   needs the node pins the frame until it has taken it.
 //! * **Reading → Resident**: settled lazily, the next time the shard is
 //!   touched (or explicitly by [`SharedPageCache::drain`]); the read pin
-//!   is released. Every public entry point settles first, so state
-//!   observations within one shard-lock hold can never disagree.
+//!   is released and the bytes are decoded into the frame's node — or,
+//!   if they do not read or decode, into the error every reader of the
+//!   frame gets, typed, without poisoning the queue. Every public entry
+//!   point settles first, so state observations within one shard-lock
+//!   hold can never disagree.
 //! * **Resident/Dirty/Empty → Writing → Dirty**: the write latch.
 //!   [`SharedPageCache::write`] waits until the frame holds no pin and no
 //!   read is in flight (**writers wait on pins**), marks the frame
-//!   `Writing`, and installs the new bytes as the frame's dirty payload.
+//!   `Writing`, and installs the new bytes as the frame's dirty payload;
+//!   the old decoded node goes with the old bytes, and the next demand
+//!   decodes the new ones — no reader is served a stale node.
 //!   While a frame is `Writing`, `materialize` and `pin` park on the
 //!   shard's latch condvar (**readers wait on the write latch**).
 //! * **Dirty eviction carries the payload.** Evicting a dirty frame
@@ -52,8 +63,9 @@
 //!   through [`SharedPageCache::flush_dirty`] (which writes them through
 //!   a caller-supplied writer) or [`SharedPageCache::take_dirty_evicted`]
 //!   (which hands `(key, bytes)` pairs to an owner who writes them back
-//!   itself). A re-demand of a drained page is served *from the drain* —
-//!   reading the file would resurrect stale bytes.
+//!   itself). A re-demand of a drained page is served *from the drain*,
+//!   node decoded from the drained bytes — reading the file would
+//!   resurrect stale bytes.
 //! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
 //!   overflow beyond capacity is legal, trimmed as pins release).
 //!
@@ -70,7 +82,9 @@
 //! decided: a resident or in-flight frame costs nothing
 //! ([`SharedCacheFileAccess::warm_hits`]); an empty frame submits one
 //! pread ([`SharedCacheFileAccess::cold_faults`], counted in
-//! [`SharedPageCache::physical_reads`]). Hence the measurable dedup:
+//! [`SharedPageCache::physical_reads`]). A handle's read-ahead is a pread
+//! paid in advance for a miss its schedule says is coming, and consumed
+//! by exactly that miss. Hence the measurable dedup:
 //! `physical_reads ≤ Σ per-worker disk_accesses`, strictly `<` whenever
 //! workers overlap — and a warm pool serves repeat joins at near-zero
 //! physical reads while their logical charges stay exactly the paper's.
@@ -89,11 +103,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::access::{NodeAccess, NodeAccessMut, Ticket};
-use crate::codec::StorageError;
+use crate::access::{NodeAccess, NodeAccessMut, PageNode, PageRef, Ticket};
+use crate::codec::{self, DiskNode, EntryFormat, StorageError};
 use crate::completion::{CompletionQueue, DelayFn};
 use crate::file::{validate_stores, PageFile};
 use crate::lru::{EvictionPolicy, LruBuffer};
@@ -111,6 +125,20 @@ use crate::writeback::UpdateBackend;
 /// [`crate::FileNodeAccess`] oracle.
 const UPDATE_MAX_HEIGHT: usize = 64;
 
+/// Floor of the node-table sweep thresholds (frame shards and handles):
+/// tables this small are never swept.
+const SWEEP_MIN: usize = 32;
+
+/// A frame's decoded node, or why its bytes do not decode.
+type FrameNode = Result<Arc<DiskNode>, String>;
+
+/// A page's frame as a reader holds it: the decoded node, or the ticket
+/// of its read still in flight.
+enum FrameRead {
+    Node(FrameNode),
+    Reading(Ticket),
+}
+
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameState {
@@ -118,7 +146,8 @@ pub enum FrameState {
     Empty,
     /// A single-flight pread is in flight; the frame is read-pinned.
     Reading,
-    /// Bytes are resident and clean.
+    /// Bytes are resident and clean; the frame serves their decoded
+    /// node.
     Resident,
     /// The cache holds bytes newer than the file (write-back pending) —
     /// either as a dirty resident frame or as an evicted payload waiting
@@ -176,6 +205,12 @@ struct FrameShard {
     reading: HashMap<BufKey, Ticket>,
     /// Encoded bytes of every dirty resident frame.
     payloads: HashMap<BufKey, Vec<u8>>,
+    /// Decoded node of each resident frame, decoded once per physical
+    /// read (at settle) or per write (on first demand after it). Entries
+    /// of evicted frames linger until the next sweep and are never
+    /// served: a frame's residency is decided by `lru`, and every path
+    /// that makes a frame resident again replaces its entry.
+    nodes: HashMap<BufKey, FrameNode>,
     /// Bytes of dirty frames evicted since the last flush/drain — the
     /// write-back worklist, payloads included.
     drained: HashMap<BufKey, Vec<u8>>,
@@ -221,6 +256,11 @@ pub struct SharedPageCache {
     /// The backing files, by store — [`SharedPageCache::update_handle`]
     /// opens its read-write handle from here.
     paths: Vec<PathBuf>,
+    /// Entry format of each store's file (frame decoding).
+    formats: Vec<EntryFormat>,
+    /// Page count of each store, grown by writes past the end: every
+    /// decoded directory entry's child must lie below it.
+    page_counts: Vec<AtomicU32>,
 }
 
 impl fmt::Debug for SharedPageCache {
@@ -275,6 +315,11 @@ impl SharedPageCache {
             .first()
             .map(PageFile::page_bytes)
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
+        let formats = files.iter().map(PageFile::entry_format).collect();
+        let page_counts = files
+            .iter()
+            .map(|f| AtomicU32::new(f.page_count()))
+            .collect();
         drop(files);
         let queue = CompletionQueue::open(paths, cfg.workers_per_lane, cfg.delay)?;
         let n = if cfg.shards > 0 {
@@ -290,6 +335,7 @@ impl SharedPageCache {
                         lru: LruBuffer::with_policy(cap, EvictionPolicy::Lru),
                         reading: HashMap::new(),
                         payloads: HashMap::new(),
+                        nodes: HashMap::new(),
                         drained: HashMap::new(),
                         writing: HashSet::new(),
                         write_waiters: 0,
@@ -311,6 +357,8 @@ impl SharedPageCache {
             heights: heights.to_vec(),
             page_bytes,
             paths: paths.to_vec(),
+            formats,
+            page_counts,
         }))
     }
 
@@ -325,10 +373,18 @@ impl SharedPageCache {
             paths: self.heights.iter().map(|&h| PathBuffer::new(h)).collect(),
             files: self.heights.iter().map(|_| None).collect(),
             stats: IoStats::default(),
-            last_miss: Ticket::NONE,
             warm_hits: 0,
             cold_faults: 0,
+            read_aheads: 0,
             evicted: Vec::new(),
+            serves_nodes: true,
+            held: HashMap::new(),
+            sweep_at: SWEEP_MIN,
+            ahead: HashMap::new(),
+            schedule: Vec::new(),
+            next: 0,
+            window: 2 * self.queue.readers(),
+            pins: Vec::new(),
         }
     }
 
@@ -353,6 +409,9 @@ impl SharedPageCache {
         let mut h = self.handle(cap_pages);
         h.paths[store as usize] = PathBuffer::new(UPDATE_MAX_HEIGHT);
         h.files[store as usize] = Some(PageFile::open_rw(path)?);
+        // The updater's tree twin supplies contents; a frame held for a
+        // reader that never comes would block the updater's own writes.
+        h.serves_nodes = false;
         Ok(h)
     }
 
@@ -371,15 +430,73 @@ impl SharedPageCache {
         if s.reading.is_empty() {
             return;
         }
-        let done: Vec<BufKey> = s
+        let done: Vec<(BufKey, Ticket)> = s
             .reading
             .iter()
             .filter(|&(_, &t)| self.queue.is_complete(t))
-            .map(|(&k, _)| k)
+            .map(|(&k, &t)| (k, t))
             .collect();
-        for key in done {
+        for (key, ticket) in done {
             s.reading.remove(&key);
             s.lru.unpin(key);
+            let node = match self.queue.take_page(ticket) {
+                Some(Ok(bytes)) => self.decode(key, &bytes),
+                Some(Err(e)) => Err(e.to_string()),
+                None => Err("read abandoned by a queue reset".into()),
+            };
+            self.keep_node(s, key, node);
+        }
+    }
+
+    /// Decodes the bytes of `key`'s page: the codec's node decoding plus
+    /// the range check of every directory entry's child page.
+    fn decode(&self, key: BufKey, bytes: &[u8]) -> FrameNode {
+        let store = key.store as usize;
+        let count = self.page_counts[store].load(Ordering::Relaxed);
+        codec::decode_node_fmt(bytes, self.formats[store])
+            .and_then(|node| {
+                if node.level > 0 {
+                    for e in &node.entries {
+                        codec::child_page(e, count)?;
+                    }
+                }
+                Ok(Arc::new(node))
+            })
+            .map_err(|e| e.to_string())
+    }
+
+    /// Files `node` as `key`'s decoded frame contents, sweeping the
+    /// entries of evicted frames once they outnumber the resident ones.
+    fn keep_node(&self, s: &mut FrameShard, key: BufKey, node: FrameNode) {
+        s.nodes.insert(key, node);
+        if s.nodes.len() > 2 * s.lru.len().max(s.lru.capacity()) + SWEEP_MIN {
+            let lru = &s.lru;
+            s.nodes.retain(|&k, _| lru.contains(k));
+        }
+    }
+
+    /// The decoded node of resident `key`: decoded at settle for a read
+    /// frame, on first demand for a written one.
+    fn resident_node(&self, s: &mut FrameShard, key: BufKey) -> FrameNode {
+        if let Some(node) = s.nodes.get(&key) {
+            return node.clone();
+        }
+        let node = match s.payloads.get(&key) {
+            Some(bytes) => self.decode(key, bytes),
+            None => Err("resident frame holds no bytes".into()),
+        };
+        self.keep_node(s, key, node.clone());
+        node
+    }
+
+    /// Decodes a dirty resident frame's payload before the payload goes
+    /// (written back or abandoned), so the frame keeps serving its node.
+    fn retire_payload(&self, s: &mut FrameShard, key: BufKey) {
+        if let Some(bytes) = s.payloads.remove(&key) {
+            if !s.nodes.contains_key(&key) {
+                let node = self.decode(key, &bytes);
+                self.keep_node(s, key, node);
+            }
         }
     }
 
@@ -410,7 +527,17 @@ impl SharedPageCache {
     /// cross-worker saving). Waits out a concurrent writer first
     /// (readers wait on the write latch).
     pub fn materialize(&self, store: u8, page: PageId) -> (Ticket, bool) {
-        let key = BufKey::new(store, page);
+        match self.demand(BufKey::new(store, page), false) {
+            (FrameRead::Reading(ticket), fresh) => (ticket, fresh),
+            (FrameRead::Node(_), fresh) => (Ticket::NONE, fresh),
+        }
+    }
+
+    /// [`SharedPageCache::materialize`], handing back the frame itself: its
+    /// node when resident, else the in-flight ticket — in which case
+    /// `hold` adds a pin the caller releases ([`SharedPageCache::take`])
+    /// once it has the node, so the frame cannot be evicted in between.
+    fn demand(&self, key: BufKey, hold: bool) -> (FrameRead, bool) {
         let shard = self.shard(key);
         let mut s = lock_frames(shard);
         while s.writing.contains(&key) {
@@ -420,43 +547,102 @@ impl SharedPageCache {
         if let Some(&ticket) = s.reading.get(&key) {
             // Single-flight: adopt the in-flight read, touch recency.
             s.lru.access(key);
+            if hold {
+                s.lru.pin(key);
+            }
             self.adoptions.fetch_add(1, Ordering::Relaxed);
-            return (ticket, false);
+            return (FrameRead::Reading(ticket), false);
         }
         if s.lru.contains(key) {
             s.lru.access(key);
             self.frame_hits.fetch_add(1, Ordering::Relaxed);
-            return (Ticket::NONE, false);
+            return (FrameRead::Node(self.resident_node(&mut s, key)), false);
         }
-        if s.drained.contains_key(&key) {
+        if let Some(bytes) = s.drained.get(&key) {
             // Evicted-dirty re-demand: the newest bytes sit in the drain,
             // not the file — a pread would resurrect stale data.
             // Reinstall as a dirty resident, no physical read.
+            let node = self.decode(key, bytes);
             s.lru.install(key);
             if s.lru.mark_dirty(key) {
                 let p = s.drained.remove(&key).expect("checked above");
                 s.payloads.insert(key, p);
+                self.keep_node(&mut s, key, node.clone());
             }
             // else: the install was evicted on the spot (every other
             // slot pinned) — the payload simply stays in the drain,
             // still Dirty, still flushable.
             self.harvest(&mut s);
             self.drain_hits.fetch_add(1, Ordering::Relaxed);
-            return (Ticket::NONE, false);
+            return (FrameRead::Node(node), false);
         }
         // Empty → Reading: install the frame, read-pin it so eviction
-        // skips it, submit exactly one pread on the store's lane. The
-        // queue-level hint-adoption table is bypassed on purpose
-        // (`adopt_or_submit` with no prior hint = demand submission):
-        // the frame table is the single-flight authority here.
+        // skips it, submit exactly one pread on the store's lane, ahead
+        // of any queued read-ahead. The frame table is the single-flight
+        // authority, so the queue's own adoption table stays out of it.
+        let ticket = self.submit(&mut s, key, hold, true);
+        (FrameRead::Reading(ticket), true)
+    }
+
+    /// Empty → Reading (see [`SharedPageCache::demand`]); `front` queues
+    /// the read ahead of the lane's read-ahead instead of behind it.
+    fn submit(&self, s: &mut FrameShard, key: BufKey, hold: bool, front: bool) -> Ticket {
         s.lru.install(key);
         s.lru.pin(key);
-        self.harvest(&mut s);
-        let (ticket, _) = self.queue.adopt_or_submit(store as usize, key, page);
+        if hold {
+            s.lru.pin(key);
+        }
+        self.harvest(s);
+        let ticket = self
+            .queue
+            .submit_frame(key.store as usize, key, key.page, front);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
-        self.physical_by_store[store as usize].fetch_add(1, Ordering::Relaxed);
-        (ticket, true)
+        self.physical_by_store[key.store as usize].fetch_add(1, Ordering::Relaxed);
+        ticket
+    }
+
+    /// Read-ahead of `key`: if its frame is empty, submits the read
+    /// behind the lane's demands, pinned for the caller until it
+    /// demands the page ([`SharedPageCache::take`] releases the pin).
+    /// `None` — nothing submitted — when the frame is resident, in
+    /// flight, drained or being written.
+    fn read_ahead(&self, key: BufKey) -> Option<Ticket> {
+        let mut s = lock_frames(self.shard(key));
+        if s.writing.contains(&key) {
+            return None;
+        }
+        self.settle(&mut s);
+        if s.reading.contains_key(&key) || s.lru.contains(key) || s.drained.contains_key(&key) {
+            return None;
+        }
+        Some(self.submit(&mut s, key, true, false))
+    }
+
+    /// The node of a frame the caller holds a pin on
+    /// ([`SharedPageCache::demand`] with `hold`, or
+    /// [`SharedPageCache::read_ahead`]), releasing that pin; `None` while
+    /// the read is still in flight (the pin stays).
+    fn take(&self, key: BufKey) -> Option<FrameNode> {
+        let shard = self.shard(key);
+        let mut s = lock_frames(shard);
+        self.settle(&mut s);
+        if s.reading.contains_key(&key) {
+            return None;
+        }
+        let node = if s.lru.contains(key) {
+            self.resident_node(&mut s, key)
+        } else {
+            Err("frame dropped by a cache clear while a reader held it".into())
+        };
+        s.lru.unpin(key);
+        self.harvest(&mut s);
+        let notify = s.write_waiters > 0;
+        drop(s);
+        if notify {
+            shard.latch.notify_all();
+        }
+        Some(node)
     }
 
     /// Adds one pin to the frame of `(store, page)` if it is resident or
@@ -464,8 +650,9 @@ impl SharedPageCache {
     /// frame — a frame with no read behind it would be a phantom warm
     /// hit and break read honesty. Settles first, so a frame whose read
     /// just completed is pinned as a resident (not double-pinned under
-    /// its stale read pin); waits out a concurrent writer.
-    pub fn pin(&self, store: u8, page: PageId) {
+    /// its stale read pin); waits out a concurrent writer. Returns
+    /// whether the pin landed.
+    pub fn pin(&self, store: u8, page: PageId) -> bool {
         let key = BufKey::new(store, page);
         let shard = self.shard(key);
         let mut s = lock_frames(shard);
@@ -473,9 +660,11 @@ impl SharedPageCache {
             s = wait_latch(shard, s);
         }
         self.settle(&mut s);
-        if s.lru.contains(key) {
+        let resident = s.lru.contains(key);
+        if resident {
             s.lru.pin(key);
         }
+        resident
     }
 
     /// Releases one pin of `(store, page)` (no-op if absent), waking any
@@ -539,10 +728,14 @@ impl SharedPageCache {
     }
 
     /// Installs the new bytes, releases the write latch, wakes waiters.
+    /// The frame's decoded node is dropped with the old bytes; the next
+    /// demand decodes the new ones.
     fn complete_write(&self, key: BufKey, payload: &[u8]) {
         let shard = self.shard(key);
         let mut s = lock_frames(shard);
         self.settle(&mut s);
+        self.page_counts[key.store as usize].fetch_max(key.page.0 + 1, Ordering::Relaxed);
+        s.nodes.remove(&key);
         s.lru.install(key);
         if s.lru.mark_dirty(key) {
             let dst = s.payloads.entry(key).or_default();
@@ -572,7 +765,7 @@ impl SharedPageCache {
         let mut s = lock_frames(self.shard(key));
         self.settle(&mut s);
         s.lru.clear_dirty(key);
-        s.payloads.remove(&key);
+        self.retire_payload(&mut s, key);
         s.drained.remove(&key);
     }
 
@@ -632,7 +825,7 @@ impl SharedPageCache {
                     .expect("dirty resident frame must carry a payload");
                 write(key.page, buf)?;
                 self.physical_writes.fetch_add(1, Ordering::Relaxed);
-                s.payloads.remove(&key);
+                self.retire_payload(&mut s, key);
                 s.lru.clear_dirty(key);
             }
         }
@@ -844,6 +1037,7 @@ impl SharedPageCache {
             s.lru.reset_io();
             s.reading.clear();
             s.payloads.clear();
+            s.nodes.clear();
             s.drained.clear();
             s.writing.clear();
             drop(s);
@@ -864,29 +1058,73 @@ impl SharedPageCache {
 /// bit-identical to a private-buffer worker of the same capacity — while
 /// every charged miss is *served* by the shared frame layer
 /// (single-flight physical reads, warm frames across workers and across
-/// requests). Completion-driven: a miss returns a ticket for the cursor
-/// to park on instead of blocking in `access()`.
+/// requests). A miss never blocks in `access()`: the executor waits only
+/// when it needs the node of a page still being read.
 ///
 /// Handles from [`SharedPageCache::update_handle`] additionally own the
 /// read-write [`PageFile`] of their store and drive updates through the
 /// [`crate::NodeAccessMut`]/[`UpdateBackend`] impls below.
+///
+/// ## Contents and read-ahead
+///
+/// A read handle serves its executor the nodes its misses read
+/// ([`NodeAccess::page_node`]): it keeps the decoded node of every page
+/// its private LRU and path buffers hold, so a logical hit never touches
+/// the shared pool, and pins the frame of each miss still in flight
+/// until the executor takes its node. Because the executor needs a
+/// page's entries before it can step into that page, latency is hidden
+/// by read-ahead along the announced §4.3 schedule
+/// ([`NodeAccess::hint`]): once the handle has paid for a read of its
+/// own, it submits pinned, uncharged reads for the upcoming scheduled
+/// pages that are neither in its private buffers nor already framed, at
+/// most twice as many at once as the queue has readers — one read in
+/// service and one queued behind it per reader, so no reader idles
+/// between completions even when the schedule dwells on one store's
+/// lane (an SJ4 drain reads one side only). Each one is consumed
+/// by the charged miss of the same page (every scheduled page is
+/// demanded, and first as a miss), so `physical_reads ≤ Σ
+/// disk_accesses` still holds; a join cut short releases the rest when
+/// its handle drops.
 pub struct SharedCacheFileAccess {
     cache: Arc<SharedPageCache>,
     /// Private *logical* LRU — accounting only; bytes live in the shared
-    /// frames.
+    /// frames and, decoded, in `held`.
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
     /// Read-write file handles, by store — `Some` only for stores opened
     /// through [`SharedPageCache::update_handle`].
     files: Vec<Option<PageFile>>,
     stats: IoStats,
-    last_miss: Ticket,
     /// Charged misses served by a frame already resident or in flight.
     warm_hits: u64,
-    /// Charged misses that submitted the physical read themselves.
+    /// Charged misses that paid for the physical read themselves
+    /// (demand or this handle's read-ahead).
     cold_faults: u64,
+    /// Read-ahead reads this handle submitted.
+    read_aheads: u64,
     /// Scratch for draining the private LRU's dirty evictions.
     evicted: Vec<BufKey>,
+    /// Whether this handle serves page contents (read handles). Update
+    /// handles only charge and write: their tree twin supplies contents.
+    serves_nodes: bool,
+    /// Per page: its node, or the in-flight ticket of a frame this handle
+    /// pinned until it takes the node. Nodes of pages in neither the
+    /// private LRU nor a path buffer are swept past `sweep_at` entries.
+    held: HashMap<BufKey, FrameRead>,
+    sweep_at: usize,
+    /// Read-ahead frames this handle submitted and pinned, not yet
+    /// demanded.
+    ahead: HashMap<BufKey, Ticket>,
+    /// The latest announced schedule tail, and the next entry read-ahead
+    /// considers.
+    schedule: Vec<PageRef>,
+    next: usize,
+    /// Most read-ahead frames outstanding at once: twice the queue's
+    /// reader count.
+    window: usize,
+    /// Shared-frame pins this handle holds for its executor (released on
+    /// drop).
+    pins: Vec<BufKey>,
 }
 
 impl fmt::Debug for SharedCacheFileAccess {
@@ -919,10 +1157,19 @@ impl SharedCacheFileAccess {
         self.warm_hits
     }
 
-    /// Charged misses that paid for their own pread.
+    /// Charged misses that paid for their own pread (on demand, or
+    /// ahead of it).
     #[inline]
     pub fn cold_faults(&self) -> u64 {
         self.cold_faults
+    }
+
+    /// Read-ahead reads this handle submitted along its schedule (each
+    /// later consumed by the charged miss of its page, counted in
+    /// [`SharedCacheFileAccess::cold_faults`]).
+    #[inline]
+    pub fn read_aheads(&self) -> u64 {
+        self.read_aheads
     }
 
     /// Logical write-back accounting, bit-identical to
@@ -935,6 +1182,82 @@ impl SharedCacheFileAccess {
             self.evicted.clear();
             self.lru.take_dirty_evicted(&mut self.evicted);
             self.stats.page_writes += self.evicted.len() as u64;
+        }
+    }
+
+    /// Serves a charged miss of `key` from the shared frames: this
+    /// handle's own read-ahead if it submitted one, else a demand.
+    fn serve_miss(&mut self, key: BufKey) {
+        if let Some(FrameRead::Reading(_)) = self.held.remove(&key) {
+            // An earlier charge of this page was never taken: release
+            // its pin, the demand below pins afresh.
+            self.cache.unpin(key.store, key.page);
+        }
+        if let Some(ticket) = self.ahead.remove(&key) {
+            self.cache.queue.promote(key.store as usize, ticket);
+            self.cold_faults += 1;
+            self.held.insert(key, FrameRead::Reading(ticket));
+            return;
+        }
+        let (read, fresh) = self.cache.demand(key, self.serves_nodes);
+        if fresh {
+            self.cold_faults += 1;
+        } else {
+            self.warm_hits += 1;
+        }
+        if self.serves_nodes {
+            self.held.insert(key, read);
+        }
+    }
+
+    /// Submits read-ahead along the schedule until `window` frames are
+    /// outstanding.
+    fn read_ahead(&mut self) {
+        while self.ahead.len() < self.window && self.next < self.schedule.len() {
+            let r = self.schedule[self.next];
+            self.next += 1;
+            let key = BufKey::new(r.store, r.page);
+            if self.lru.contains(key)
+                || self.paths[r.store as usize].contains(r.page)
+                || self.held.contains_key(&key)
+                || self.ahead.contains_key(&key)
+            {
+                continue;
+            }
+            if let Some(ticket) = self.cache.read_ahead(key) {
+                self.ahead.insert(key, ticket);
+                self.read_aheads += 1;
+            }
+        }
+    }
+
+    /// Drops the nodes of pages that left both the private LRU and the
+    /// path buffers, once the table has doubled since the last sweep.
+    fn sweep(&mut self) {
+        if self.held.len() <= self.sweep_at {
+            return;
+        }
+        let (lru, paths) = (&self.lru, &self.paths);
+        self.held.retain(|&k, h| {
+            matches!(h, FrameRead::Reading(_))
+                || lru.contains(k)
+                || paths[k.store as usize].contains(k.page)
+        });
+        self.sweep_at = (2 * self.held.len()).max(SWEEP_MIN);
+    }
+}
+
+impl Drop for SharedCacheFileAccess {
+    fn drop(&mut self) {
+        let held = self.held.iter().filter_map(|(&k, h)| match h {
+            FrameRead::Reading(_) => Some(k),
+            FrameRead::Node(_) => None,
+        });
+        for key in held
+            .chain(self.ahead.keys().copied())
+            .chain(self.pins.drain(..))
+        {
+            self.cache.unpin(key.store, key.page);
         }
     }
 }
@@ -951,13 +1274,11 @@ impl NodeAccess for SharedCacheFileAccess {
         );
         self.charge_private_dirty_evictions();
         if miss {
-            let (ticket, fresh) = self.cache.materialize(store, page);
-            if fresh {
-                self.cold_faults += 1;
-            } else {
-                self.warm_hits += 1;
+            self.serve_miss(BufKey::new(store, page));
+            if self.serves_nodes {
+                self.read_ahead();
+                self.sweep();
             }
-            self.last_miss = ticket;
         }
         miss
     }
@@ -968,55 +1289,71 @@ impl NodeAccess for SharedCacheFileAccess {
         // keeps the frame eviction-proof for every worker.
         self.lru.pin(BufKey::new(store, page));
         self.charge_private_dirty_evictions();
-        self.cache.pin(store, page);
+        if self.cache.pin(store, page) {
+            self.pins.push(BufKey::new(store, page));
+        }
     }
 
     fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
+        let key = BufKey::new(store, page);
+        self.lru.unpin(key);
         self.charge_private_dirty_evictions();
-        self.cache.unpin(store, page);
+        // Only release a shared pin this handle actually holds.
+        if let Some(i) = self.pins.iter().position(|&k| k == key) {
+            self.pins.swap_remove(i);
+            self.cache.unpin(store, page);
+        }
     }
 
     fn io_stats(&self) -> IoStats {
         self.stats
     }
 
-    // No hint plumbing (wants_hints stays false): a hint prefetched into
-    // the *shared* pool can be displaced by other workers before its
-    // demand arrives, which would decouple physical reads from charged
-    // misses. Demand-only keeps `physical_reads ≤ Σ disk_accesses` an
-    // invariant instead of a tendency.
-
-    fn completion_driven(&self) -> bool {
-        true
+    fn page_node(&mut self, store: u8, page: PageId) -> PageNode {
+        if !self.serves_nodes {
+            return PageNode::InMemory;
+        }
+        let key = BufKey::new(store, page);
+        loop {
+            match self.held.get(&key) {
+                Some(FrameRead::Node(Ok(node))) => return PageNode::Ready(Arc::clone(node)),
+                Some(FrameRead::Node(Err(msg))) => {
+                    return PageNode::Failed(StorageError::Corrupt(format!(
+                        "page {page} of store {store}: {msg}"
+                    )))
+                }
+                Some(&FrameRead::Reading(ticket)) => match self.cache.take(key) {
+                    Some(node) => {
+                        self.held.insert(key, FrameRead::Node(node));
+                    }
+                    None => return PageNode::Pending(ticket),
+                },
+                None => {
+                    // Not charged through this handle since it was last
+                    // held (e.g. a page its executor pinned into the
+                    // private LRU): fetch it without a charge.
+                    let read = self.cache.demand(key, true).0;
+                    self.held.insert(key, read);
+                }
+            }
+        }
     }
 
-    fn last_miss_ticket(&self) -> Ticket {
-        self.last_miss
+    /// Only once this handle has paid for a read: over a warm pool there
+    /// is nothing to read ahead.
+    fn wants_hints(&self) -> bool {
+        self.serves_nodes && self.cold_faults > 0
     }
 
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        self.cache.queue.is_complete(ticket)
+    fn hint(&mut self, upcoming: &[PageRef]) {
+        self.schedule.clear();
+        self.schedule.extend_from_slice(upcoming);
+        self.next = 0;
+        self.read_ahead();
     }
 
     fn await_ticket(&self, ticket: Ticket) {
         self.cache.queue.await_ticket(ticket)
-    }
-
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        self.cache.queue.is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        self.cache.queue.await_settled(ticket)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.cache.queue.in_flight()
-    }
-
-    fn drain_completions(&self) {
-        self.cache.drain()
     }
 }
 
@@ -1576,6 +1913,135 @@ mod tests {
             SharedPageCache::open(&[a, b], 4, &[1, 1], CacheConfig::default()).unwrap_err(),
             StorageError::PageSizeMismatch { .. }
         ));
+    }
+
+    /// The node a read handle serves for `page`, waiting out its read.
+    fn served(h: &mut SharedCacheFileAccess, page: PageId) -> Arc<DiskNode> {
+        loop {
+            match h.page_node(0, page) {
+                PageNode::Ready(node) => return node,
+                PageNode::Pending(ticket) => h.await_ticket(ticket),
+                other => panic!("page {page}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn handles_serve_the_nodes_their_misses_read() {
+        let dir = TempDir::new("cache").unwrap();
+        let slow: DelayFn = Arc::new(|_| Some(Duration::from_millis(5)));
+        let c = cache(&dir, 4, 4, Some(slow));
+        let mut h = c.handle(2);
+        assert!(h.access(0, PageId(2), 1));
+        let node = served(&mut h, PageId(2));
+        assert_eq!(
+            (node.level, node.entries[0].child),
+            (0, 2),
+            "page 2's bytes"
+        );
+        assert_eq!(
+            c.pin_count(0, PageId(2)),
+            0,
+            "taking the node releases the hold"
+        );
+        // A logical hit is served from the handle, not the pool.
+        let hits = c.frame_hits();
+        assert!(!h.access(0, PageId(2), 1));
+        assert!(Arc::ptr_eq(&served(&mut h, PageId(2)), &node));
+        assert_eq!(c.frame_hits(), hits, "a logical hit never touches the pool");
+    }
+
+    #[test]
+    fn a_rewritten_resident_frame_serves_its_new_node() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        let mut h = c.handle(4);
+        h.access(0, PageId(1), 1);
+        assert_eq!(served(&mut h, PageId(1)).entries[0].child, 1);
+        c.write(0, PageId(1), &node_bytes(9));
+        let mut fresh = c.handle(4);
+        fresh.access(0, PageId(1), 1);
+        assert_eq!(
+            served(&mut fresh, PageId(1)).entries[0].child,
+            9,
+            "a demand after the write decodes the new bytes, never the stale node"
+        );
+        // Write-back keeps the frame serving the same (now clean) node.
+        c.clear_dirty(0, PageId(1));
+        let mut after = c.handle(4);
+        after.access(0, PageId(1), 1);
+        assert_eq!(served(&mut after, PageId(1)).entries[0].child, 9);
+        assert_eq!(
+            c.physical_reads(),
+            1,
+            "one read, then bytes from the writes"
+        );
+    }
+
+    #[test]
+    fn a_frame_reinstalled_from_the_drain_serves_its_new_node() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 8, 2, None);
+        let mut h = c.handle(4);
+        h.access(0, PageId(0), 1);
+        assert_eq!(served(&mut h, PageId(0)).entries[0].child, 0);
+        c.write(0, PageId(0), &node_bytes(7));
+        c.materialize(0, PageId(2));
+        c.materialize(0, PageId(3)); // evicts dirty page 0 into the drain
+        c.drain();
+        assert_eq!(c.frame_state(0, PageId(0)), FrameState::Dirty);
+        let mut fresh = c.handle(4);
+        fresh.access(0, PageId(0), 1);
+        assert_eq!(
+            served(&mut fresh, PageId(0)).entries[0].child,
+            7,
+            "the drained payload, not the file's (or the old frame's) bytes"
+        );
+        assert_eq!(c.drain_hits(), 1);
+    }
+
+    #[test]
+    fn undecodable_bytes_fail_the_reader_typed() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        c.write(0, PageId(3), b"not a node");
+        let mut h = c.handle(4);
+        h.access(0, PageId(3), 1);
+        assert!(matches!(
+            h.page_node(0, PageId(3)),
+            PageNode::Failed(StorageError::Corrupt(_))
+        ));
+        // The queue is not poisoned: other pages keep serving.
+        h.access(0, PageId(1), 1);
+        assert_eq!(served(&mut h, PageId(1)).entries[0].child, 1);
+    }
+
+    #[test]
+    fn update_handles_neither_hold_frames_nor_serve_nodes() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        let mut u = c.update_handle(0, 4).unwrap();
+        assert!(!u.wants_hints());
+        u.access(0, PageId(1), 1);
+        assert!(matches!(u.page_node(0, PageId(1)), PageNode::InMemory));
+        c.drain();
+        assert_eq!(c.pin_count(0, PageId(1)), 0, "no pin blocks its own writes");
+    }
+
+    #[test]
+    fn dropping_a_handle_releases_every_pin_it_holds() {
+        let dir = TempDir::new("cache").unwrap();
+        let slow: DelayFn = Arc::new(|_| Some(Duration::from_millis(5)));
+        let c = cache(&dir, 4, 4, Some(slow));
+        let mut h = c.handle(4);
+        h.access(0, PageId(1), 1); // held until its node is taken
+        h.access(0, PageId(2), 1);
+        served(&mut h, PageId(2));
+        h.pin(0, PageId(2));
+        drop(h);
+        c.drain();
+        assert_eq!(c.pin_count(0, PageId(1)), 0);
+        assert_eq!(c.pin_count(0, PageId(2)), 0);
     }
 
     #[test]

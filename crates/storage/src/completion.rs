@@ -25,7 +25,10 @@
 //!
 //! A failed worker read completes its ticket (so no waiter hangs) and
 //! poisons the queue; the next wait/drain panics, preserving
-//! [`crate::FileNodeAccess`]'s "storage broke mid-join" contract.
+//! [`crate::FileNodeAccess`]'s "storage broke mid-join" contract. The
+//! exception is a *kept* read ([`CompletionQueue::submit_frame`], the
+//! shared page cache's frame reads): its error travels back with the
+//! ticket, so only the query that needed the page fails.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -42,6 +45,9 @@ use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::path::PathBuffer;
 use crate::pool::IoStats;
+
+/// Why a queue lock can fail: a thread panicked while holding it.
+const POISONED: &str = "completion queue state lock poisoned by a panicking thread";
 
 /// Test hook: per-page extra latency applied by the worker *before* the
 /// physical read — lets the adversarial-order suites force completions
@@ -244,6 +250,55 @@ impl CompletionQueue {
             sh.wakeup.notify_all();
             (Ticket(ticket), false)
         }
+    }
+
+    /// Submits a read of `key` (slot `local` of `lane`'s file) whose bytes
+    /// the caller collects with [`CompletionQueue::take_page`] once the
+    /// ticket completes. Never adoptable (the caller is its own
+    /// single-flight authority); `front` puts it ahead of the lane's
+    /// queued jobs, as a demand, instead of behind them, as a read-ahead.
+    pub(crate) fn submit_frame(
+        &self,
+        lane: usize,
+        key: BufKey,
+        local: PageId,
+        front: bool,
+    ) -> Ticket {
+        let sh = self.shared();
+        let mut st = sh.state.lock().expect(POISONED);
+        let ticket = st.submit_frame(lane, key, local, front);
+        sh.outstanding.store(st.outstanding, Ordering::Relaxed);
+        drop(st);
+        // notify_all for the same lost-wakeup reason as `submit_hint`.
+        sh.wakeup.notify_all();
+        Ticket(ticket)
+    }
+
+    /// Moves `ticket`'s job to the front of `lane` if no worker has
+    /// claimed it yet (a read-ahead that demand caught up with).
+    pub(crate) fn promote(&self, lane: usize, ticket: Ticket) {
+        self.shared()
+            .state
+            .lock()
+            .expect(POISONED)
+            .promote(lane, ticket.0);
+    }
+
+    /// The bytes (or the read error) of a completed
+    /// [`CompletionQueue::submit_frame`] read; `None` if it was abandoned
+    /// by [`CompletionQueue::reset`] or taken already.
+    pub(crate) fn take_page(&self, ticket: Ticket) -> Option<Result<Vec<u8>, StorageError>> {
+        self.shared()
+            .state
+            .lock()
+            .expect(POISONED)
+            .take_page(ticket.0)
+    }
+
+    /// Reader threads across all lanes.
+    #[inline]
+    pub(crate) fn readers(&self) -> usize {
+        self.core.workers.len()
     }
 
     /// Polls a ticket. Lock-free when the completion frontier has already
@@ -461,19 +516,28 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
         let read = file
             .read_page_into(job.local, &mut buf)
             .or_else(|_| file.read_slot_fresh(job.local, &mut buf));
-        match read {
-            Ok(()) => {
-                shared.reads[lane].fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.failed.store(true, Ordering::Relaxed);
-            }
+        if read.is_ok() {
+            shared.reads[lane].fetch_add(1, Ordering::Relaxed);
         }
+        // A kept read hands its bytes — or its error — to the owner, who
+        // fails only the reader that needed them; any other failed read
+        // poisons the queue.
+        let page = match (job.keep, read) {
+            (true, read) => Some(read.map(|()| std::mem::take(&mut buf))),
+            (false, Ok(())) => None,
+            (false, Err(_)) => {
+                shared.failed.store(true, Ordering::Relaxed);
+                None
+            }
+        };
         let lag = job.submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         shared.lag_nanos.fetch_add(lag, Ordering::Relaxed);
         shared.lag_samples.fetch_add(1, Ordering::Relaxed);
         shared.lag_max_nanos.fetch_max(lag, Ordering::Relaxed);
         let mut st = shared.state.lock().unwrap();
+        if let Some(page) = page {
+            st.deliver(job.ticket, page);
+        }
         st.complete(&job);
         shared.done_floor.store(st.done_floor(), Ordering::Release);
         shared.outstanding.store(st.outstanding, Ordering::Relaxed);

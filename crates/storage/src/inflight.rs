@@ -13,6 +13,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
 
+use crate::codec::StorageError;
 use crate::lru::BufKey;
 use crate::page::PageId;
 
@@ -27,6 +28,9 @@ pub(crate) struct ReadJob {
     /// When the submission entered its lane — completion lag (submit →
     /// complete, queue wait included) is measured from here.
     pub submitted: Instant,
+    /// Whether the worker hands the bytes (or the read error) back for
+    /// [`InflightTables::take_page`] instead of dropping them.
+    pub keep: bool,
 }
 
 /// Where a submission currently is in its lifecycle.
@@ -74,6 +78,9 @@ pub(crate) struct InflightTables {
     done: BTreeSet<u64>,
     /// Next ticket to issue. Tickets start at 1; 0 is [`crate::Ticket::NONE`].
     next_ticket: u64,
+    /// Completed reads of `keep` jobs, by ticket, until their owner takes
+    /// them.
+    pages: HashMap<u64, Result<Vec<u8>, StorageError>>,
     /// Set once on drop; workers exit at the next wakeup.
     pub shutdown: bool,
 }
@@ -88,6 +95,7 @@ impl InflightTables {
             done_below: 1,
             done: BTreeSet::new(),
             next_ticket: 1,
+            pages: HashMap::new(),
             shutdown: false,
         }
     }
@@ -131,6 +139,7 @@ impl InflightTables {
             key,
             local,
             submitted: Instant::now(),
+            keep: false,
         });
         self.outstanding += 1;
         ticket
@@ -144,18 +153,67 @@ impl InflightTables {
     /// demand entry adopted twice would make one physical read serve two
     /// charged accesses.
     pub fn submit_demand(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
         // Demand outranks queued read-ahead on its lane, same as the
         // promotion a demand adoption performs in `consume`.
-        self.lanes[lane].push_front(ReadJob {
+        self.submit_unregistered(lane, key, local, true, false)
+    }
+
+    /// Issues a ticket for a read whose bytes the caller takes back with
+    /// [`InflightTables::take_page`] — the frame reads of the shared page
+    /// cache, which is its own single-flight authority, so the job is
+    /// never registered for adoption either. `front` queues it ahead of
+    /// the lane's other jobs (a demand) instead of behind them (a
+    /// read-ahead).
+    pub fn submit_frame(&mut self, lane: usize, key: BufKey, local: PageId, front: bool) -> u64 {
+        self.submit_unregistered(lane, key, local, front, true)
+    }
+
+    fn submit_unregistered(
+        &mut self,
+        lane: usize,
+        key: BufKey,
+        local: PageId,
+        front: bool,
+        keep: bool,
+    ) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        let job = ReadJob {
             ticket,
             key,
             local,
             submitted: Instant::now(),
-        });
+            keep,
+        };
+        if front {
+            self.lanes[lane].push_front(job);
+        } else {
+            self.lanes[lane].push_back(job);
+        }
         self.outstanding += 1;
         ticket
+    }
+
+    /// Moves the still-queued job of `ticket` to the front of `lane` (a
+    /// read-ahead that demand has caught up with). No-op once claimed.
+    pub fn promote(&mut self, lane: usize, ticket: u64) {
+        let queue = &mut self.lanes[lane];
+        if let Some(pos) = queue.iter().position(|j| j.ticket == ticket) {
+            let job = queue.remove(pos).expect("position just found");
+            queue.push_front(job);
+        }
+    }
+
+    /// Files the outcome of a completed `keep` read until its owner takes
+    /// it.
+    pub fn deliver(&mut self, ticket: u64, page: Result<Vec<u8>, StorageError>) {
+        self.pages.insert(ticket, page);
+    }
+
+    /// Takes the outcome of a completed `keep` read (`None` if the job
+    /// was abandoned unread, or taken already).
+    pub fn take_page(&mut self, ticket: u64) -> Option<Result<Vec<u8>, StorageError>> {
+        self.pages.remove(&ticket)
     }
 
     /// Submissions currently queued on `lane` (not yet claimed by a
@@ -253,6 +311,7 @@ impl InflightTables {
     pub fn clear_consumed(&mut self) {
         debug_assert_eq!(self.outstanding, 0);
         self.by_key.clear();
+        self.pages.clear();
         self.staged = 0;
     }
 }

@@ -53,11 +53,14 @@
 //!   ([`ShardedFileAccess::with_parallel_readers`]);
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
 //!   frame cache over the completion queue: sharded, pin-counted frames
-//!   walking an Empty → Reading → Resident → Dirty state machine,
-//!   single-flight physical reads across concurrent demanders, and warm
-//!   frames that outlive a single join — while every worker keeps private
-//!   path buffers and a private logical LRU, so its [`IoStats`] stay
-//!   bit-identical to a private-buffer worker;
+//!   walking an Empty → Reading → Resident → Dirty state machine and
+//!   holding the decoded node of their bytes, single-flight physical
+//!   reads across concurrent demanders, and warm frames that outlive a
+//!   single join — while every worker keeps private path buffers and a
+//!   private logical LRU, so its [`IoStats`] stay bit-identical to a
+//!   private-buffer worker, and hands its executor the nodes its misses
+//!   read ([`NodeAccess::page_node`]), reading ahead along the
+//!   executor's schedule;
 //! * [`partition`] — the one Fibonacci-hash partitioner shared by the
 //!   buffer shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
@@ -106,7 +109,7 @@ pub mod shared;
 pub mod temp;
 pub mod writeback;
 
-pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
+pub use access::{NodeAccess, NodeAccessMut, PageNode, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};

@@ -135,7 +135,7 @@ pub mod prelude {
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
     pub use rsj_rtree::{
         DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenShardedTree, OpenTree,
-        RTree, RTreeParams,
+        RTree, RTreeParams, TreeRoot,
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,

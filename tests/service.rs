@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_service::{export_sharded_reads, JoinService, ServiceError};
-use rsj_storage::{BufferPool, TempDir};
+use rsj_storage::{BufferPool, PageId, TempDir};
 use rsj_telemetry::SampleValue;
 
 const PAGE: usize = 1024;
@@ -139,6 +139,106 @@ fn warm_queries_do_zero_physical_reads() {
         "warm queries must perform zero physical reads"
     );
     assert_eq!(svc.hit_ratio(), 1.0, "warm hit ratio must be 1.0");
+}
+
+/// Opening reads each file's header and root page and nothing else:
+/// every other page reaches memory through the frame pool, when a query
+/// needs it.
+#[test]
+fn open_reads_the_header_and_root_only() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let svc = fx.service(ServiceConfig::default());
+    assert_eq!(svc.open_reads(), 2, "one root page per tree");
+    assert_eq!(svc.cache().physical_reads(), 0, "no frame read at open");
+    assert_eq!(svc.cache().resident_pages(), 0);
+}
+
+/// A leaf page of R in the join result, and the index of one of its
+/// entries whose data id takes part in `pairs`.
+fn joined_leaf_entry(tree: &RTree, pairs: &[(DataId, DataId)]) -> (PageId, usize) {
+    let joined: std::collections::HashSet<u64> = pairs.iter().map(|p| p.0 .0).collect();
+    let mut found = None;
+    tree.for_each_node(|page, node| {
+        if found.is_none() && node.is_leaf() {
+            if let Some(i) = node
+                .entries
+                .iter()
+                .position(|e| e.child.data().is_some_and(|id| joined.contains(&id.0)))
+            {
+                found = Some((page, i));
+            }
+        }
+    });
+    found.expect("some leaf entry joins")
+}
+
+/// Rewrites page `page` of the file at `path` through `edit`.
+fn edit_page(path: &std::path::Path, page: PageId, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut file = PageFile::open_rw(path).unwrap();
+    let mut bytes = file.read_page(page).unwrap();
+    edit(&mut bytes);
+    file.write_page(page, &bytes).unwrap();
+    file.flush().unwrap();
+}
+
+/// The join consumes the page bytes: flipping one byte of a leaf
+/// entry's data id in R's file changes the service's answer (or fails
+/// it typed) — there is no in-memory copy to fall back on.
+#[test]
+fn flipping_a_data_id_byte_changes_the_answer() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let plan = JoinPlan::sj4();
+    let before = fx
+        .service(ServiceConfig::default())
+        .execute(plan, true)
+        .expect("pre-flip query");
+    let (page, i) = joined_leaf_entry(&fx.r_file, &before.pairs);
+    // Slot layout: level u32, count u32, then 40-byte entries whose last
+    // 8 bytes are the child reference (the data id in a leaf).
+    edit_page(&fx.r_path, page, |b| b[8 + i * 40 + 32] ^= 0x01);
+    match fx.service(ServiceConfig::default()).execute(plan, true) {
+        Ok(after) => assert_ne!(
+            sorted_ids(&after.pairs),
+            sorted_ids(&before.pairs),
+            "the flipped id must show in the pair multiset"
+        ),
+        Err(e) => assert!(matches!(e, ServiceError::Storage(_)), "{e}"),
+    }
+}
+
+/// A page that fails to decode mid-join fails only that query, typed:
+/// the permit comes back, the failure is counted, and the next query
+/// answers typed again instead of hanging.
+#[test]
+fn an_undecodable_page_fails_the_query_typed() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let plan = JoinPlan::sj4();
+    let pairs = fx
+        .service(ServiceConfig::default())
+        .execute(plan, true)
+        .expect("clean query")
+        .pairs;
+    let (page, _) = joined_leaf_entry(&fx.r_file, &pairs);
+    // An entry count no slot can hold.
+    edit_page(&fx.r_path, page, |b| {
+        b[4..8].copy_from_slice(&u32::MAX.to_le_bytes())
+    });
+    let svc = fx.service(ServiceConfig::default());
+    for round in 0..2 {
+        match svc.execute(plan, true) {
+            Err(ServiceError::Storage(StorageError::Corrupt(msg))) => {
+                assert!(msg.contains(&page.to_string()), "round {round}: {msg}")
+            }
+            other => panic!("round {round}: want a typed storage error, got {other:?}"),
+        }
+        assert_eq!(svc.admission().in_flight(), 0, "round {round}: permit back");
+    }
+    let snap = svc.registry().snapshot();
+    assert_eq!(
+        snap.get("rsj_service_queries_total", &[("outcome", "error")])
+            .cloned(),
+        Some(SampleValue::Counter(2)),
+    );
 }
 
 /// The push families count queries exactly, and the rendered exposition

@@ -11,12 +11,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rsj::prelude::*;
+use rsj_core::exec::JoinCursor;
 use rsj_core::spatial_join_with_access;
 use rsj_core::{parallel_spatial_join_warm, parallel_spatial_join_with_access};
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{
-    BufKey, BufferPool, CacheConfig, IoStats, NodeAccess, PageFile, PageId, SharedPageCache,
-    TempDir,
+    BufKey, BufferPool, CacheConfig, IoStats, NodeAccess, PageFile, PageId, SharedCacheFileAccess,
+    SharedPageCache, TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -168,6 +169,82 @@ fn cache_sequential_agrees_with_buffer_pool_oracle() {
                 "{tag}: a lone worker cannot read more than it charged"
             );
         }
+    }
+}
+
+/// A root-mode join (nodes from the frames, as the service runs it)
+/// through one handle: pairs, stats, and the handle back.
+fn join_from_pages(
+    fx: &Fixture,
+    plan: JoinPlan,
+    handle: SharedCacheFileAccess,
+) -> (Vec<(DataId, DataId)>, JoinStats, SharedCacheFileAccess) {
+    let (r, s) = (TreeRoot::of(&fx.r_file), TreeRoot::of(&fx.s_file));
+    let mut cursor = JoinCursor::from_roots(&r, &s, plan, handle);
+    let pairs: Vec<_> = cursor.by_ref().collect();
+    assert!(cursor.error().is_none(), "{:?}", cursor.error());
+    let stats = cursor.stats();
+    (pairs, stats, cursor.into_access())
+}
+
+/// Read-ahead reads only pages the join charges, each once. With a
+/// per-read delay for it to hide: a single cold handle reads exactly
+/// what it charges — whether its private LRU holds the whole working
+/// set (every page missed once) or a zero-frame pool forces every
+/// charged miss to read — and four concurrent handles over a pool of
+/// one handle's budget + path depth + read-ahead window read at most
+/// their summed charges. Every join still matches the oracle.
+#[test]
+fn read_ahead_reads_only_what_the_join_charges() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let delay = || -> Option<DelayFn> { Some(Arc::new(|_| Some(Duration::from_micros(100)))) };
+    let ws = fx.working_set();
+    for (plan, name) in plans() {
+        for (handle_pages, pool) in [(ws, ws), (CAP_PAGES, 0)] {
+            let tag = format!("{name}, {handle_pages}-page handle, {pool}-frame pool");
+            let oracle = BufferPool::with_capacity_pages(handle_pages, &fx.heights());
+            let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, oracle);
+            let cache = fx.cache_sharded(pool, 1, 1, delay());
+            let (pairs, stats, h) = join_from_pages(&fx, plan, cache.handle(handle_pages));
+            assert_eq!(sorted_ids(&pairs), sorted_ids(&want.pairs), "{tag}: pairs");
+            assert_eq!(stats, want.stats, "{tag}: JoinStats");
+            assert!(h.read_aheads() > 0, "{tag}: read-ahead must engage");
+            cache.drain();
+            assert_eq!(
+                cache.physical_reads(),
+                stats.io.disk_accesses,
+                "{tag}: one read per charged miss, none ahead of nothing"
+            );
+            assert_eq!(cache.physical_reads(), cache.queue().total_reads());
+        }
+
+        let workers = 4;
+        let depth = *fx.heights().iter().max().unwrap();
+        let window = 2 * 2 * CacheConfig::default().workers_per_lane;
+        let cache = fx.cache_sharded(CAP_PAGES + depth + window, workers, 1, delay());
+        let oracle = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+        let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, oracle);
+        let charged: u64 = std::thread::scope(|scope| {
+            let joins: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| join_from_pages(&fx, plan, cache.handle(CAP_PAGES))))
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| {
+                    let (pairs, stats, _) = j.join().expect("worker");
+                    assert_eq!(sorted_ids(&pairs), sorted_ids(&want.pairs), "{name}: pairs");
+                    assert_eq!(stats, want.stats, "{name}: JoinStats");
+                    stats.io.disk_accesses
+                })
+                .sum()
+        });
+        cache.drain();
+        assert!(
+            cache.physical_reads() <= charged,
+            "{name}: {} physical reads above the {charged} charged misses",
+            cache.physical_reads()
+        );
+        assert_eq!(cache.physical_reads(), cache.queue().total_reads());
     }
 }
 
