@@ -38,10 +38,8 @@ use rsj_core::{JoinConfig, JoinPlan};
 use rsj_datagen::{scenario, Scenario, TestId};
 use rsj_rtree::bulk::{self, BulkConfig, BulkLayout};
 use rsj_rtree::{DataId, OpenCachedTree, OpenFileTree, RTree};
-use rsj_storage::sharded::shard_lane_queue;
 use rsj_storage::{
-    BufferPool, CacheConfig, CompletionConfig, CompletionFileAccess, EntryFormat, EvictionPolicy,
-    FileNodeAccess, PageFile, PrefetchConfig, PrefetchingFileAccess, ShardReaderConfig,
+    BufferPool, CacheConfig, EntryFormat, EvictionPolicy, FileNodeAccess, PageFile,
     ShardedFileAccess, ShardedPageFile, SharedPageCache, TempDir, READ_LATENCY_ENV,
 };
 
@@ -144,21 +142,16 @@ impl PlanReport {
 /// from disk, and joined with every buffer miss performing a real page
 /// read. "Cold" resets the whole backend (LRU, path buffers, page-file
 /// counters) before every run; "warm" reuses the populated buffer.
-/// The schedule-aware additions ride along: a prefetch-on cold run
-/// ([`PrefetchingFileAccess`], identical `disk_accesses` by contract)
-/// and a shard-count sweep over [`ShardedFileAccess`].
+/// A shard-count sweep over [`ShardedFileAccess`] (identical
+/// `disk_accesses` by contract) rides along.
 struct FileReport {
     buffer_pages: usize,
     cold_secs: f64,
     cold_disk: u64,
     warm_secs: f64,
     warm_disk: u64,
-    prefetch_secs: f64,
-    prefetch_disk: u64,
-    prefetch_hits: u64,
-    /// `(shard_count, best cold secs, disk accesses, best parallel-reader
-    /// secs, staged hits)` per sweep point.
-    shards: Vec<(usize, f64, u64, f64, u64)>,
+    /// `(shard_count, best cold secs, disk accesses)` per sweep point.
+    shards: Vec<(usize, f64, u64)>,
 }
 
 fn measure_file_backend(
@@ -221,49 +214,7 @@ fn measure_file_backend(
         "a warm buffer cannot read more than a cold one"
     );
 
-    // Prefetch-on cold runs: same files, same buffer, plus the hint-driven
-    // read-ahead workers. The disk-access accounting must not move.
-    let mut pre = PrefetchingFileAccess::new(
-        vec![
-            PageFile::open(&rp).expect("open R file"),
-            PageFile::open(&sp).expect("open S file"),
-        ],
-        cfg.buffer_bytes,
-        &[rf.height() as usize, sf.height() as usize],
-        EvictionPolicy::Lru,
-        PrefetchConfig::default(),
-    )
-    .expect("prefetch backend");
-    let run_pre = |access: &mut PrefetchingFileAccess| -> (u64, u64) {
-        let mut cursor = JoinCursor::new(&rf, &sf, plan, &mut *access);
-        let pairs = (&mut cursor).count() as u64;
-        (pairs, cursor.stats().io.disk_accesses)
-    };
-    let (pairs, prefetch_disk) = {
-        pre.reset();
-        run_pre(&mut pre)
-    };
-    assert_eq!(pairs, expect_pairs, "prefetch backend must agree");
-    assert_eq!(
-        prefetch_disk, cold_disk,
-        "prefetching must not move the disk-access accounting"
-    );
-    // Report the best staged share observed: how many misses prefetching
-    // *can* serve once the workers are warm (the split is scheduler-
-    // dependent at page-cache speeds; a real disk gives the workers
-    // milliseconds of lead per hint).
-    let mut prefetch_hits = 0;
-    let mut prefetch_secs = f64::INFINITY;
-    for _ in 0..iters {
-        pre.reset();
-        let start = Instant::now();
-        run_pre(&mut pre);
-        prefetch_secs = prefetch_secs.min(start.elapsed().as_secs_f64());
-        prefetch_hits = prefetch_hits.max(pre.prefetch_hits());
-    }
-
-    // Shard-count sweep: the same join over subtree-partitioned files,
-    // demand-only and with the per-shard parallel reader pool.
+    // Shard-count sweep: the same join over subtree-partitioned files.
     let mut shards = Vec::new();
     for shard_count in [2usize, 4, 8] {
         let (rb, sb) = (
@@ -305,45 +256,7 @@ fn measure_file_backend(
             run_sharded(&mut access);
             secs = secs.min(start.elapsed().as_secs_f64());
         }
-
-        // The same sweep point with one reader thread per physical shard
-        // file eating the executor's hints: accounting must not move; the
-        // staged split shows how much demand latency the spindles covered.
-        let mut par = ShardedFileAccess::with_parallel_readers(
-            vec![
-                ShardedPageFile::open(&rb).expect("open sharded R"),
-                ShardedPageFile::open(&sb).expect("open sharded S"),
-            ],
-            buffer_pages, // capacity in PAGES — same budget as every other backend here
-            &[rs.height() as usize, ss.height() as usize],
-            EvictionPolicy::Lru,
-            ShardReaderConfig::default(),
-        )
-        .expect("parallel sharded backend");
-        let run_par = |access: &mut ShardedFileAccess| -> (u64, u64) {
-            let mut cursor = JoinCursor::new(&rs, &ss, plan, &mut *access);
-            let pairs = (&mut cursor).count() as u64;
-            (pairs, cursor.stats().io.disk_accesses)
-        };
-        let (pairs, par_disk) = {
-            par.reset();
-            run_par(&mut par)
-        };
-        assert_eq!(pairs, expect_pairs, "parallel sharded backend must agree");
-        assert_eq!(
-            par_disk, cold_disk,
-            "parallel shard readers must not move the disk-access accounting"
-        );
-        let mut par_secs = f64::INFINITY;
-        let mut staged_hits = 0;
-        for _ in 0..iters {
-            par.reset();
-            let start = Instant::now();
-            run_par(&mut par);
-            par_secs = par_secs.min(start.elapsed().as_secs_f64());
-            staged_hits = staged_hits.max(par.staged_hits());
-        }
-        shards.push((shard_count, secs, disk, par_secs, staged_hits));
+        shards.push((shard_count, secs, disk));
     }
 
     FileReport {
@@ -352,9 +265,6 @@ fn measure_file_backend(
         cold_disk,
         warm_secs,
         warm_disk,
-        prefetch_secs,
-        prefetch_disk,
-        prefetch_hits,
         shards,
     }
 }
@@ -367,52 +277,50 @@ impl FileReport {
         let shards = self
             .shards
             .iter()
-            .map(|&(n, secs, disk, par_secs, staged)| {
+            .map(|&(n, secs, disk)| {
                 format!(
-                    "{{ \"shards\": {n}, \"secs_per_join\": {secs:.6}, \"disk_accesses\": {disk}, \
-                     \"parallel_secs_per_join\": {par_secs:.6}, \"staged_hits\": {staged} }}"
+                    "{{ \"shards\": {n}, \"secs_per_join\": {secs:.6}, \"disk_accesses\": {disk} }}"
                 )
             })
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"prefetch\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"prefetch_hits\": {} }},\n    \"shard_sweep\": [{}],\n    \"cold_over_cursor\": {:.4}\n  }}",
+            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"shard_sweep\": [{}],\n    \"cold_over_cursor\": {:.4}\n  }}",
             self.buffer_pages,
             self.cold_secs,
             self.cold_disk,
             self.warm_secs,
             self.warm_disk,
-            self.prefetch_secs,
-            self.prefetch_disk,
-            self.prefetch_hits,
             shards,
             cursor_secs / self.cold_secs,
         )
     }
 }
 
-/// Completion-driven I/O under injected read latency: the measurement the
-/// submission/completion queue exists for. With [`READ_LATENCY_ENV`]
-/// charging every physical page read (~a fast disk's positioning time),
-/// the blocking [`FileNodeAccess`] pays the full `latency × misses` bill
-/// serially, while the [`CompletionFileAccess`] cursor overlaps demand
-/// misses with join work and sibling reads — same deterministic
-/// `disk_accesses` by construction, wall time bounded by the pipeline
-/// depth instead of the sum. A shared-queue shard-parallel sweep rides
-/// along: N workers over subtree-partitioned files, one completion queue
-/// with per-shard lanes.
+/// Latency hiding under injected read latency: the measurement the shared
+/// page cache's read-ahead exists for. With [`READ_LATENCY_ENV`] charging
+/// every physical page read (~a fast disk's positioning time), the
+/// blocking [`FileNodeAccess`] pays the full `latency × misses` bill
+/// serially, while a single cold [`SharedPageCache`] handle reads ahead
+/// along the cursor's announced §4.3 schedule on the queue's reader
+/// lanes — same deterministic `disk_accesses` by construction, wall time
+/// bounded by the read-ahead window instead of the sum. A parallel sweep
+/// rides along: `parallel_spatial_join_warm` with 2 and 4 workers over
+/// one cold cache.
 struct OverlapReport {
     latency_us: u64,
     blocking_secs: f64,
     blocking_disk: u64,
-    completion_secs: f64,
-    completion_disk: u64,
-    staged_hits: u64,
-    demand_reads: u64,
-    /// Completion-driven cold run *without* injected latency — the
+    cache_secs: f64,
+    cache_disk: u64,
+    /// Physical reads of a cold single-handle run, and how many of them
+    /// the handle issued ahead of demand.
+    cache_physical: u64,
+    read_aheads: u64,
+    /// Cold single-handle run *without* injected latency — the
     /// page-cache-speed overhead check against the in-memory cursor.
-    nolat_completion_secs: f64,
-    /// `(workers == shards, best wall secs per shared-queue parallel join)`.
+    nolat_cache_secs: f64,
+    /// `(workers, best wall secs per cold parallel join)`.
     parallel: Vec<(usize, f64)>,
 }
 
@@ -433,56 +341,57 @@ fn measure_overlap(
     let rf = RTree::open_from(&rp).expect("reopen R");
     let sf = RTree::open_from(&sp).expect("reopen S");
     let heights = [rf.height() as usize, sf.height() as usize];
-    let sharded: Vec<(usize, std::path::PathBuf, std::path::PathBuf, RTree, RTree)> = [2usize, 4]
-        .into_iter()
-        .map(|n| {
-            let (rb, sb) = (
-                dir.file(&format!("r{n}.rsj")),
-                dir.file(&format!("s{n}.rsj")),
-            );
-            r.save_sharded_to(&rb, n).expect("save sharded R");
-            s.save_sharded_to(&sb, n).expect("save sharded S");
-            let rs = RTree::open_sharded_from(&rb).expect("reopen sharded R");
-            let ss = RTree::open_sharded_from(&sb).expect("reopen sharded S");
-            (n, rb, sb, rs, ss)
-        })
-        .collect();
-
-    let completion_access = || {
-        CompletionFileAccess::new(
-            vec![
-                PageFile::open(&rp).expect("open R file"),
-                PageFile::open(&sp).expect("open S file"),
-            ],
-            cfg.buffer_bytes,
+    let paths = [rp.clone(), sp.clone()];
+    let buffer_pages = cfg.buffer_bytes / PAGE;
+    // One handle's budget, plus the path depths, plus the read-ahead
+    // window (2 × the queue's readers): read-ahead never crowds out a
+    // frame the join still needs.
+    let window = 2 * paths.len() * CacheConfig::default().workers_per_lane;
+    let pool_pages = buffer_pages + heights.iter().sum::<usize>() + window;
+    // Queue readers open their own page-file handles here, so a cache
+    // opened after the latency is injected pays it on every read.
+    let open_cache = |workers: usize, shards: usize| {
+        SharedPageCache::open(
+            &paths,
+            pool_pages,
             &heights,
-            EvictionPolicy::Lru,
-            CompletionConfig::default(),
+            CacheConfig {
+                workers,
+                shards,
+                ..CacheConfig::default()
+            },
         )
-        .expect("completion backend")
+        .expect("shared page cache")
     };
-    let run_completion = |access: &mut CompletionFileAccess| -> (u64, u64) {
-        let mut cursor = JoinCursor::new(&rf, &sf, plan, &mut *access);
+    let run_handle = |cache: &std::sync::Arc<SharedPageCache>| -> (u64, u64, u64) {
+        let mut cursor = JoinCursor::new(&rf, &sf, plan, cache.handle(buffer_pages));
         let pairs = (&mut cursor).count() as u64;
-        (pairs, cursor.stats().io.disk_accesses)
+        let disk = cursor.stats().io.disk_accesses;
+        (pairs, disk, cursor.into_access().read_aheads())
+    };
+    // Best of `n` cold single-handle runs: (secs, disk, physical, ahead).
+    let best_cold_handle = |cache: &std::sync::Arc<SharedPageCache>, n: u32| {
+        let mut best = (f64::INFINITY, 0, 0, 0);
+        for _ in 0..n {
+            cache.clear();
+            let start = Instant::now();
+            let (pairs, disk, ahead) = run_handle(cache);
+            let secs = start.elapsed().as_secs_f64();
+            assert_eq!(pairs, expect_pairs, "cache handle must agree");
+            cache.drain();
+            if secs < best.0 {
+                best = (secs, disk, cache.physical_reads(), ahead);
+            }
+        }
+        best
     };
 
-    // Page-cache-speed baseline: the completion-driven cursor must not
-    // cost more than the gating bookkeeping over the blocking backend.
-    let mut access = completion_access();
-    let (pairs, _) = run_completion(&mut access);
-    assert_eq!(pairs, expect_pairs, "completion backend must agree");
-    let mut nolat_completion_secs = f64::INFINITY;
-    for _ in 0..iters {
-        access.reset();
-        let start = Instant::now();
-        run_completion(&mut access);
-        nolat_completion_secs = nolat_completion_secs.min(start.elapsed().as_secs_f64());
-    }
-    drop(access);
+    // Page-cache-speed baseline: the read-ahead handle must not cost more
+    // than its frame bookkeeping over the in-memory cursor.
+    let (nolat_cache_secs, ..) = best_cold_handle(&open_cache(1, 1), iters);
 
     // Injected latency: every PageFile handle opened from here on sleeps
-    // per counted read — including the queue workers' own handles.
+    // per counted read — including the queue readers' own handles.
     let latency_us = 200;
     std::env::set_var(READ_LATENCY_ENV, latency_us.to_string());
     let lat_iters = iters.clamp(1, 5);
@@ -516,62 +425,31 @@ fn measure_overlap(
     }
     drop(blocking);
 
-    let mut access = completion_access();
-    let (pairs, completion_disk) = {
-        access.reset();
-        run_completion(&mut access)
-    };
-    assert_eq!(pairs, expect_pairs, "completion backend must agree");
+    // One cold handle over a single-shard pool, under the same latency.
+    let (cache_secs, cache_disk, cache_physical, read_aheads) =
+        best_cold_handle(&open_cache(1, 1), lat_iters);
     assert_eq!(
-        completion_disk, blocking_disk,
-        "completion-driven I/O must not move the disk-access accounting"
+        cache_disk, blocking_disk,
+        "read-ahead must not move the disk-access accounting"
     );
-    let mut completion_secs = f64::INFINITY;
-    let mut staged_hits = 0;
-    let mut demand_reads = 0;
-    for _ in 0..lat_iters {
-        access.reset();
-        let start = Instant::now();
-        run_completion(&mut access);
-        completion_secs = completion_secs.min(start.elapsed().as_secs_f64());
-        staged_hits = access.staged_hits();
-        demand_reads = access.demand_reads();
-    }
-    drop(access);
 
-    // Shard-parallel workers over ONE shared completion queue: worker
-    // `w`'s backend wraps a clone of the queue; a miss submits on the
-    // lane of whichever shard file owns the page.
+    // Parallel workers over ONE cold cache: every worker holds its own
+    // handle (private buffers and stats) onto the shared frames.
     let mut parallel = Vec::new();
-    for (workers, rb, sb, rs, ss) in &sharded {
-        let workers = *workers;
-        let cap_pages = (cfg.buffer_bytes / PAGE / workers).max(1);
+    for workers in [2usize, 4] {
+        let cache = open_cache(workers, 0);
+        let cap_pages = (buffer_pages / workers).max(1);
         let mut secs = f64::INFINITY;
         for _ in 0..lat_iters {
-            let files = || {
-                vec![
-                    ShardedPageFile::open(rb).expect("open sharded R"),
-                    ShardedPageFile::open(sb).expect("open sharded S"),
-                ]
-            };
-            let queue = shard_lane_queue(&files(), 1).expect("lane queue");
+            cache.clear();
             let start = Instant::now();
-            let res =
-                rsj_core::parallel_spatial_join_with_access(rs, ss, plan, false, workers, |_w| {
-                    ShardedFileAccess::with_shared_queue(
-                        files(),
-                        cap_pages,
-                        &heights,
-                        EvictionPolicy::Lru,
-                        queue.clone(),
-                        ShardReaderConfig::default(),
-                    )
-                    .expect("shared-queue backend")
-                });
+            let res = rsj_core::parallel_spatial_join_warm(
+                &rf, &sf, plan, false, workers, &cache, cap_pages,
+            );
             secs = secs.min(start.elapsed().as_secs_f64());
             assert_eq!(
                 res.stats.result_pairs, expect_pairs,
-                "shared-queue parallel join must agree"
+                "cold-cache parallel join must agree"
             );
         }
         parallel.push((workers, secs));
@@ -582,18 +460,18 @@ fn measure_overlap(
         latency_us,
         blocking_secs,
         blocking_disk,
-        completion_secs,
-        completion_disk,
-        staged_hits,
-        demand_reads,
-        nolat_completion_secs,
+        cache_secs,
+        cache_disk,
+        cache_physical,
+        read_aheads,
+        nolat_cache_secs,
         parallel,
     }
 }
 
 impl OverlapReport {
     /// `cursor_secs` is the in-memory counted cursor on the same plan, for
-    /// the no-latency overhead ratio the CI guard checks.
+    /// the no-latency overhead ratio.
     fn json(&self, cursor_secs: f64) -> String {
         let parallel = self
             .parallel
@@ -608,17 +486,17 @@ impl OverlapReport {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\n    \"latency_us\": {},\n    \"blocking_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"completion_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"staged_hits\": {}, \"demand_reads\": {} }},\n    \"completion_over_blocking\": {:.4},\n    \"no_latency\": {{ \"completion_cold_secs\": {:.6}, \"cold_over_cursor\": {:.4} }},\n    \"parallel\": [{}]\n  }}",
+            "{{\n    \"latency_us\": {},\n    \"blocking_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"cache_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"physical_reads\": {}, \"read_aheads\": {} }},\n    \"cache_over_blocking\": {:.4},\n    \"no_latency\": {{ \"cache_cold_secs\": {:.6}, \"cold_over_cursor\": {:.4} }},\n    \"parallel\": [{}]\n  }}",
             self.latency_us,
             self.blocking_secs,
             self.blocking_disk,
-            self.completion_secs,
-            self.completion_disk,
-            self.staged_hits,
-            self.demand_reads,
-            self.blocking_secs / self.completion_secs,
-            self.nolat_completion_secs,
-            cursor_secs / self.nolat_completion_secs,
+            self.cache_secs,
+            self.cache_disk,
+            self.cache_physical,
+            self.read_aheads,
+            self.blocking_secs / self.cache_secs,
+            self.nolat_cache_secs,
+            cursor_secs / self.nolat_cache_secs,
             parallel,
         )
     }
@@ -1677,8 +1555,9 @@ fn bench_exec(c: &mut Criterion) {
     // trees come off disk and every buffer miss is a real page read.
     let file = measure_file_backend(&r, &s, JoinPlan::sj2(), sj2.pairs, &cfg, iters);
     let file_json = file.json(sj2.secs[1]);
-    // Completion-driven I/O vs the blocking backend, with and without
-    // injected per-read latency, plus the shared-queue parallel sweep.
+    // A cold read-ahead cache handle vs the blocking backend, with and
+    // without injected per-read latency, plus the cold-cache parallel
+    // sweep.
     let overlap = measure_overlap(&r, &s, JoinPlan::sj2(), sj2.pairs, &cfg, iters);
     let overlap_json = overlap.json(sj2.secs[1]);
     // The latched shared page cache: equal-budget physical-read dedup

@@ -50,7 +50,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule, TicketGate};
+use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule};
 use crate::exec::{TAG_R, TAG_S};
 use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
 use crate::stats::JoinStats;
@@ -510,9 +510,9 @@ fn enumerate_pairs<M: Meter>(
 /// real pages ([`NodeAccess::page_node`]) only paces it: the cursor
 /// still waits for each page's read before stepping into it. From roots
 /// ([`JoinCursor::from_roots`]) it reads the nodes the backend decoded
-/// from the bytes its misses read; a child's level is checked against
-/// its parent's, and a page that fails to read or decode stops the
-/// cursor with a typed error instead of a panic.
+/// from the bytes its misses read, and a child's level is checked
+/// against its parent's. Either way, a page that fails to read or decode
+/// stops the cursor with a typed error instead of a panic.
 #[derive(Debug)]
 pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     r: Side<'t>,
@@ -536,15 +536,6 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// reports the delta, so a borrowed accountant reused across cursors
     /// (e.g. a worker's `&mut SharedBufferHandle`) is not double-counted.
     io_baseline: IoStats,
-    /// Whether the backend services misses through a completion queue
-    /// ([`NodeAccess::completion_driven`] at construction). When false
-    /// the iterator skips the ticket-gating machinery entirely.
-    completion: bool,
-    /// Emission gate of completion-driven mode (see [`TicketGate`]).
-    gate: TicketGate,
-    /// Machine steps taken while the front result was ticket-gated —
-    /// the run-ahead budget spent since the last emission or park.
-    run_ahead: u32,
     /// Times the cursor blocked on an in-flight read — cumulative over
     /// the cursor's life. Telemetry only: deliberately *not* part of
     /// [`JoinStats`], which is compared bit-identically across backends
@@ -556,15 +547,6 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     pending: VecDeque<(DataId, DataId)>,
     scratch: ExecScratch,
 }
-
-/// Completion-driven run-ahead caps: while the head result pair waits on
-/// an in-flight read, the cursor keeps stepping the machine — submitting
-/// further reads so the queue's lanes stay busy — until it has buffered
-/// `RUN_AHEAD_STEPS` more steps or `MAX_IN_FLIGHT` reads are outstanding,
-/// and only then parks on the blocking ticket. The caps bound both the
-/// pending-pair backlog and the submission burst a slow read can cause.
-const RUN_AHEAD_STEPS: u32 = 32;
-const MAX_IN_FLIGHT: usize = 16;
 
 /// A [`JoinCursor`] running with the zero-cost [`NoOp`] meter: the raw
 /// production mode. Same result-pair multiset, no comparison accounting.
@@ -642,7 +624,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         let mut cursor = Self::empty(r, s, plan, access, false);
         cursor.charge(TAG_R, r.root.root, r.root.height - 1);
         cursor.charge(TAG_S, s.root.root, s.root.height - 1);
-        cursor.capture_gate();
         if r.root.len > 0 && s.root.len > 0 {
             if let Some(rect) = plan.search_space(&r.root.mbr, &s.root.mbr) {
                 cursor.tasks.push_back((r.root.root, s.root.root, rect));
@@ -683,7 +664,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             "distance-join epsilon must be finite and >= 0"
         );
         let io_baseline = access.io_stats();
-        let completion = access.completion_driven();
         JoinCursor {
             r,
             s,
@@ -698,9 +678,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             tasks: VecDeque::new(),
             charge_tasks,
             io_baseline,
-            completion,
-            gate: TicketGate::default(),
-            run_ahead: 0,
             parks: 0,
             error: None,
             stack: Vec::new(),
@@ -732,10 +709,10 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         }
     }
 
-    /// Times this cursor blocked on an in-flight read: ticket parks of a
-    /// completion-driven backend, or waits for a page's node. Always 0
-    /// for the accounting backends. Not part of [`JoinStats`] — parks
-    /// depend on completion timing, which the bit-identical cross-backend
+    /// Times this cursor blocked on an in-flight read: waits for a page's
+    /// node ([`PageNode::Pending`]). Always 0 for the accounting and
+    /// blocking backends. Not part of [`JoinStats`] — parks depend on
+    /// completion timing, which the bit-identical cross-backend
     /// accounting deliberately excludes.
     #[inline]
     pub fn parks(&self) -> u64 {
@@ -789,6 +766,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     self.parks += 1;
                     self.access.await_ticket(ticket);
                 }
+                PageNode::Failed(e) => break e,
                 _ if tree.is_some() => return tree.map(|t| NodeRef::Tree(t.node(page))),
                 PageNode::Ready(node) if node.level == level => {
                     return Some(NodeRef::Page(node));
@@ -800,7 +778,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                         node.level
                     ));
                 }
-                PageNode::Failed(e) => break e,
                 PageNode::InMemory => {
                     break StorageError::Corrupt(
                         "the backend serves no page contents and the cursor holds no \
@@ -820,31 +797,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         if self.error.is_none() {
             self.error = Some(e);
         }
-    }
-
-    /// Records an emission barrier at the backend's latest miss ticket,
-    /// covering every result not yet pushed (completion-driven mode
-    /// only). Called after each machine step and after constructor-time
-    /// root charges.
-    #[inline]
-    fn capture_gate(&mut self) {
-        if self.completion {
-            let before = self.emitted + self.pending.len() as u64;
-            self.gate.capture(before, self.access.last_miss_ticket());
-        }
-    }
-
-    /// [`JoinCursor::step`] plus barrier capture: results produced by
-    /// this step (and later ones) wait on every read submitted up to it,
-    /// so `before` is sampled ahead of the step.
-    #[inline]
-    fn step_gated(&mut self) -> bool {
-        let before = self.emitted + self.pending.len() as u64;
-        let advanced = self.step();
-        if advanced && self.completion {
-            self.gate.capture(before, self.access.last_miss_ticket());
-        }
-        advanced
     }
 
     #[inline]
@@ -1522,64 +1474,11 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     }
 }
 
-impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
-    /// Completion-driven `next`: the machine steps (and charges) in the
-    /// exact deterministic schedule order, but a result pair only
-    /// surfaces once every read it transitively depends on has
-    /// completed. While the head pair's barrier is unsettled the cursor
-    /// *runs ahead* — stepping other frames, which submits further reads
-    /// and keeps the queue's lanes busy — up to the run-ahead caps, and
-    /// only then parks on the blocking ticket ([`NodeAccess::await_settled`],
-    /// a blocking wait, never a poll loop).
-    fn next_completion(&mut self) -> Option<(DataId, DataId)> {
-        loop {
-            if self.error.is_some() {
-                return None;
-            }
-            if !self.pending.is_empty() {
-                match self.gate.blocking(self.emitted, &self.access) {
-                    None => {
-                        let pair = self.pending.pop_front().expect("non-empty");
-                        self.emitted += 1;
-                        self.run_ahead = 0;
-                        return Some(pair);
-                    }
-                    Some(ticket) => {
-                        if self.run_ahead < RUN_AHEAD_STEPS
-                            && self.access.in_flight() < MAX_IN_FLIGHT
-                            && self.step_gated()
-                        {
-                            self.run_ahead += 1;
-                            continue;
-                        }
-                        self.access.await_settled(ticket);
-                        self.run_ahead = 0;
-                        self.parks += 1;
-                        continue;
-                    }
-                }
-            }
-            if !self.step_gated() {
-                // Machine exhausted. Settle every outstanding read (the
-                // honesty point: lane reads now cover all charges), which
-                // unblocks any still-gated buffered pairs.
-                self.access.drain_completions();
-                if self.pending.is_empty() {
-                    return None;
-                }
-            }
-        }
-    }
-}
-
 impl<A: NodeAccess, M: Meter> Iterator for JoinCursor<'_, A, M> {
     type Item = (DataId, DataId);
 
     #[inline]
     fn next(&mut self) -> Option<(DataId, DataId)> {
-        if self.completion {
-            return self.next_completion();
-        }
         loop {
             if let Some(pair) = self.pending.pop_front() {
                 self.emitted += 1;

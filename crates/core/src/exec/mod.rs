@@ -15,8 +15,9 @@
 //! * [`schedule`] — the §4.3 read schedule as a first-class artifact:
 //!   pair ordering (sweep/z-order) extracted out of the cursor, plus the
 //!   materialized `(store, page, depth)` tails the cursor announces to
-//!   hint-aware backends ([`rsj_storage::NodeAccess::hint`]) so a
-//!   prefetching backend can overlap reads with computation. Hints are
+//!   hint-aware backends ([`rsj_storage::NodeAccess::hint`]) so the
+//!   shared page cache's handles can read ahead, overlapping reads with
+//!   computation. Hints are
 //!   advisory and accounting-neutral; backends that don't opt in via
 //!   [`rsj_storage::NodeAccess::wants_hints`] cost nothing.
 //!

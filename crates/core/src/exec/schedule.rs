@@ -17,8 +17,9 @@
 //!   hands them to the backend through [`NodeAccess::hint`]. This is the
 //!   planner→pager channel: accounting backends ignore it (and the
 //!   cursor skips building it when [`NodeAccess::wants_hints`] is false),
-//!   while [`rsj_storage::PrefetchingFileAccess`] overlaps the reads with
-//!   the computation that happens between hint and demand.
+//!   while [`rsj_storage::SharedCacheFileAccess`] reads the scheduled
+//!   pages ahead, overlapping the reads with the computation that happens
+//!   between hint and demand.
 //!
 //! The executor's contract: every page pushed into a schedule that is
 //! announced will subsequently be demanded through
@@ -27,14 +28,12 @@
 //! completion. The property suite in `tests/prop_schedule.rs` enforces
 //! this across plans, presets and buffer sizes.
 
-use std::collections::VecDeque;
-
 use crate::exec::cursor::NodeRef;
 use crate::exec::{TAG_R, TAG_S};
 use crate::plan::JoinPlan;
 use rsj_geom::{zorder, Meter, Rect};
 use rsj_rtree::RTree;
-use rsj_storage::{NodeAccess, PageId, PageRef, Ticket};
+use rsj_storage::{NodeAccess, PageId, PageRef};
 
 /// A scheduled directory pair: entry indices plus the intersection of the
 /// two entry rectangles (the restricted search space passed down).
@@ -91,62 +90,6 @@ impl ReadSchedule {
         if !self.refs.is_empty() {
             access.hint(&self.refs);
         }
-    }
-}
-
-/// The emission gate of a completion-driven join
-/// ([`NodeAccess::completion_driven`]): result pairs produced while their
-/// source pages were still in flight may not surface through the iterator
-/// until those reads complete.
-///
-/// The cursor's deterministic machine runs (and charges) in schedule
-/// order regardless of completion order; after each step that may have
-/// produced results, [`TicketGate::capture`] records a *barrier* — the
-/// backend's latest demand-miss ticket — covering every result emitted
-/// from that step onward. A result is releasable once its binding
-/// barriers are **settled** ([`NodeAccess::is_settled`]: every submission
-/// up to the barrier has completed), which also covers misses that
-/// adopted older hint submissions: settledness is a frontier predicate,
-/// so one barrier at the running-max ticket subsumes every smaller one.
-/// Satisfied barriers are dropped permanently — tickets never
-/// un-complete — keeping the front check O(1) amortized.
-#[derive(Debug, Default)]
-pub(crate) struct TicketGate {
-    /// `(first result sequence covered, barrier ticket)`; both columns
-    /// are non-decreasing.
-    barriers: VecDeque<(u64, Ticket)>,
-    /// Running max of captured tickets (barriers only ever tighten).
-    max_ticket: Ticket,
-}
-
-impl TicketGate {
-    /// Records that results from sequence `before_seq` onward depend on
-    /// every read submitted up to `t` (the backend's latest miss ticket
-    /// after a machine step). Tickets at or below an existing barrier add
-    /// nothing — settling that barrier settles them too.
-    #[inline]
-    pub fn capture(&mut self, before_seq: u64, t: Ticket) {
-        if t > self.max_ticket {
-            self.max_ticket = t;
-            self.barriers.push_back((before_seq, t));
-        }
-    }
-
-    /// The barrier blocking the result at sequence `seq`, if any, popping
-    /// barriers `access` reports settled. `None` means the result may be
-    /// emitted.
-    pub fn blocking<A: NodeAccess>(&mut self, seq: u64, access: &A) -> Option<Ticket> {
-        while let Some(&(first_seq, t)) = self.barriers.front() {
-            if first_seq > seq {
-                return None;
-            }
-            if access.is_settled(t) {
-                self.barriers.pop_front();
-            } else {
-                return Some(t);
-            }
-        }
-        None
     }
 }
 

@@ -81,12 +81,12 @@ pub fn spatial_join_metered<M: Meter>(
 
 /// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
 /// backend instead of a private [`BufferPool`] — the entry point for the
-/// file-backed [`rsj_storage::FileNodeAccess`], the hint-driven
-/// [`rsj_storage::PrefetchingFileAccess`] (the cursor announces its read
-/// schedules to backends that opt in via
-/// [`rsj_storage::NodeAccess::wants_hints`]), the
-/// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, or any
-/// other accountant.
+/// blocking file-backed [`rsj_storage::FileNodeAccess`] (also over
+/// subtree-sharded files, [`rsj_storage::ShardedFileAccess`]), a
+/// [`rsj_storage::SharedCacheFileAccess`] handle (the cursor announces
+/// its read schedules to backends that opt in via
+/// [`rsj_storage::NodeAccess::wants_hints`], and the handle reads ahead
+/// along them), or any other accountant.
 /// Returns the accountant alongside the result so its backend-specific
 /// state (file read counters, LRU contents for a warm re-run) stays
 /// inspectable. I/O in `stats` is reported relative to the accountant's

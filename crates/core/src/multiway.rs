@@ -86,9 +86,10 @@ fn multiway_join_metered<M: Meter>(
 /// gets a fresh [`rsj_storage::FileNodeAccess`] over the page files of
 /// the trees it touches, mirroring the private per-stage [`BufferPool`]s
 /// of the in-memory pipeline. The leading stage runs off a
-/// [`JoinCursor`], so a hint-aware stage-0 backend (e.g.
-/// [`rsj_storage::PrefetchingFileAccess`]) receives its read-schedule
-/// hints; the probe stages traverse on demand and emit none.
+/// [`JoinCursor`], so a hint-aware stage-0 backend (a
+/// [`rsj_storage::SharedCacheFileAccess`] handle) receives its
+/// read-schedule hints; the probe stages traverse on demand and emit
+/// none.
 pub fn multiway_join_with_access<A, F>(
     trees: &[&RTree],
     plan: JoinPlan,

@@ -191,24 +191,15 @@ fn parallel_join_metered<M: Meter>(
 /// slice of the buffer budget — each worker gets its own file handles,
 /// like a worker process would; for genuinely disjoint physical files, a
 /// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, whose
-/// partition matches the subtree-pair tasks dealt here). Tasks are
-/// partitioned statically as in shared-nothing mode; accounting
-/// semantics match [`parallel_spatial_join_with_mode`]. Each worker's
-/// cursor announces its task list — and every frame schedule below it —
-/// as read-schedule hints, so a hint-aware backend (e.g.
-/// [`rsj_storage::PrefetchingFileAccess`]) prefetches per worker.
-///
-/// Completion-driven deployments share one I/O engine across the fleet:
-/// build a single [`rsj_storage::CompletionQueue`] (for sharded files,
-/// [`rsj_storage::sharded::shard_lane_queue`] — one lane per physical
-/// shard file) and have `make_access(w)` wrap a clone of it per worker
-/// ([`rsj_storage::ShardedFileAccess::with_shared_queue`]). Every worker
-/// keeps private buffers and private `IoStats` — the charge order inside
-/// each worker stays deterministic — while demand misses and hints from
-/// all workers multiplex onto the shared per-shard submission lanes, and
-/// each worker's cursor parks only on its own tickets. A cursor drains
-/// the queue when its machine is exhausted, so a worker's result is final
-/// before its thread joins.
+/// partition matches the subtree-pair tasks dealt here; for one shared
+/// warm pool, a [`rsj_storage::SharedPageCache`] handle per worker, see
+/// [`parallel_spatial_join_warm`]). Tasks are partitioned statically as
+/// in shared-nothing mode; accounting semantics match
+/// [`parallel_spatial_join_with_mode`]. Each worker's cursor announces
+/// its task list — and every frame schedule below it — as read-schedule
+/// hints, so a hint-aware backend (a cache handle) reads ahead per
+/// worker. Every worker keeps private buffers and private `IoStats`, so
+/// the charge order inside each worker stays deterministic.
 ///
 /// Falls back to a sequential join over `make_access(0)` when `workers <=
 /// 1` or a root is a leaf.

@@ -210,7 +210,7 @@ impl JoinPlan {
     /// Whether the §4.3 read schedule computed per node pair is *exactly*
     /// the order in which child pages descend. True for the non-pinning
     /// schedules (SJ1–SJ3, `zorder-nopin`): the pair list is the descent
-    /// order, so a prefetching backend sees perfectly accurate hints up
+    /// order, so a read-ahead backend sees perfectly accurate hints up
     /// front. The pinning schedules (SJ4/SJ5) reorder dynamically — after
     /// each pair the max-degree page's partners are drained first — so
     /// their frame-creation hints are set-accurate and the executor

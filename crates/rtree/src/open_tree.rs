@@ -250,13 +250,9 @@ impl<B: UpdateBackend> OpenTree<B> {
     }
 
     /// I/O charged by the updates so far (reads through the buffer
-    /// hierarchy plus [`IoStats::page_writes`] write-backs). Settles any
-    /// outstanding asynchronous reads first, so a completion-driven
-    /// backend's physical read counters are comparable to the charges at
-    /// the moment this returns.
+    /// hierarchy plus [`IoStats::page_writes`] write-backs).
     #[inline]
     pub fn io_stats(&self) -> IoStats {
-        self.access.drain_completions();
         self.access.io_stats()
     }
 
@@ -341,10 +337,6 @@ impl<B: UpdateBackend> OpenTree<B> {
     /// page-for-page identical to [`OpenTree::tree`].
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
-        // No read may still be in flight when the write-back starts: a
-        // completion-driven backend's lane workers hold their own handles
-        // onto the same physical file.
-        self.access.drain_completions();
         self.access.flush_writes()?;
         let meta = encode_meta(&self.tree);
         let file = self.access.store_file_mut(self.store);
@@ -585,23 +577,22 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_a_read_only_parallel_reader_backend() {
-        use rsj_storage::{ShardReaderConfig, ShardedFileAccess, ShardedPageFile};
+    fn from_parts_rejects_a_read_only_cache_handle() {
         let dir = TempDir::new("open-tree").unwrap();
-        let base = dir.file("t.sharded.rsj");
+        let path = dir.file("t.rsj");
         let tree = build(150);
-        tree.save_sharded_to(&base, 2).unwrap();
-        let loaded = RTree::open_sharded_from(&base).unwrap();
-        let access = ShardedFileAccess::with_parallel_readers(
-            vec![ShardedPageFile::open_rw(&base).unwrap()],
+        tree.save_to(&path).unwrap();
+        let loaded = RTree::open_from(&path).unwrap();
+        let cache = SharedPageCache::open(
+            &[path],
             8,
-            &[MAX_HEIGHT],
-            EvictionPolicy::Lru,
-            ShardReaderConfig::default(),
+            &[loaded.height() as usize],
+            rsj_storage::CacheConfig::default(),
         )
         .unwrap();
-        // Typed refusal up front — not a panic on the first update.
-        let err = OpenTree::from_parts(loaded, access).unwrap_err();
+        // A read handle holds no write handle: typed refusal up front —
+        // not a panic on the first update.
+        let err = OpenTree::from_parts(loaded, cache.handle(8)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 

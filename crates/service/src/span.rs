@@ -14,12 +14,11 @@
 //! * **plan** — opening the session's cache handle and building the
 //!   cursor (schedule materialization included);
 //! * **io** — wall time the driver was *blocked on reads*: the summed
-//!   durations of `await_ticket`/`await_settled`/`drain_completions`
-//!   measured inside [`InstrumentedAccess`] — for the frame-pool
-//!   backend, the waits for a demanded page whose read (or read-ahead)
-//!   is still in flight. Submission itself is asynchronous and costs
-//!   nanoseconds; what hurts a query is waiting, and that is exactly
-//!   what this stage counts;
+//!   durations of `await_ticket` measured inside [`InstrumentedAccess`]
+//!   — for the frame-pool backend, the waits for a demanded page whose
+//!   read (or read-ahead) is still in flight. Submission itself is
+//!   asynchronous and costs nanoseconds; what hurts a query is waiting,
+//!   and that is exactly what this stage counts;
 //! * **join** — drive-loop time minus io: comparisons, sweeps, scratch
 //!   work, and the per-pair sink;
 //! * **emit** — response assembly and telemetry recording after the
@@ -145,46 +144,11 @@ impl<A: NodeAccess, R: Recorder> NodeAccess for InstrumentedAccess<A, R> {
         self.inner.wants_hints()
     }
 
-    fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-        self.inner.will_access(store, page, depth)
-    }
-
     fn hint(&mut self, upcoming: &[PageRef]) {
         self.inner.hint(upcoming)
     }
 
-    fn completion_driven(&self) -> bool {
-        self.inner.completion_driven()
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        self.inner.last_miss_ticket()
-    }
-
-    #[inline]
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        self.inner.is_complete(ticket)
-    }
-
     fn await_ticket(&self, ticket: Ticket) {
         self.timed(|a| a.await_ticket(ticket))
-    }
-
-    #[inline]
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        self.inner.is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        self.timed(|a| a.await_settled(ticket))
-    }
-
-    #[inline]
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
-
-    fn drain_completions(&self) {
-        self.timed(|a| a.drain_completions())
     }
 }

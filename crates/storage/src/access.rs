@@ -10,17 +10,17 @@
 //! from the very bytes its miss read. Implementations:
 //!
 //! * [`crate::BufferPool`] — the sequential stack of §4.1 (path buffer →
-//!   LRU → disk), owned by one executor;
+//!   LRU → disk), owned by one executor: the accounting oracle;
 //! * [`crate::SharedBufferHandle`] — a per-worker handle onto the sharded,
 //!   lock-based [`crate::SharedBufferPool`], for concurrent workers that
 //!   share one system buffer (each worker keeps private path buffers, as
 //!   each drives its own traversal);
-//! * [`crate::FileNodeAccess`] — the same hierarchy over real page files,
-//!   where every miss performs an actual read;
-//! * [`crate::PrefetchingFileAccess`] — the file backend plus a small
-//!   thread-pool that services *read-schedule hints* ahead of demand;
-//! * [`crate::ShardedFileAccess`] — the file backend over trees split
-//!   across several physical files by subtree partition.
+//! * [`crate::FileNodeAccess`] — the same hierarchy over real page files
+//!   (single or sharded, [`crate::ShardedFileAccess`]), where every miss
+//!   performs an actual, blocking read: the blocking reference;
+//! * [`crate::SharedCacheFileAccess`] — a handle onto the shared frame
+//!   cache over the completion queue, serving decoded nodes and hiding
+//!   read latency by reading ahead: the production backend.
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
 //! accountant instead of owning it — the shared-buffer parallel join runs
@@ -29,32 +29,22 @@
 //! ## Read-schedule hints
 //!
 //! SJ3–SJ5 compute the order in which child pages will be visited *before*
-//! descending (the §4.3 read schedule). [`NodeAccess::hint`] and
-//! [`NodeAccess::will_access`] let the executor hand that tail of the
-//! schedule to the backend as **advisory** information: a backend may start
-//! fetching hinted pages early (overlap I/O with computation), but hints
-//! carry no accounting weight — `disk_accesses` is charged by the demand
-//! [`NodeAccess::access`] exactly as the paper charges it, whether or not a
-//! prefetch completed first. The executor's contract is that every hinted
-//! page is subsequently demanded (hints are a prefix of the true access
-//! sequence, never phantom reads), assuming the join runs to completion.
-//! Both methods default to no-ops, so accounting-only backends ignore the
-//! schedule entirely.
+//! descending (the §4.3 read schedule). [`NodeAccess::hint`] lets the
+//! executor hand that tail of the schedule to the backend as **advisory**
+//! information. Its one consumer is [`crate::SharedCacheFileAccess`],
+//! which reads upcoming pages ahead of demand (overlapping I/O with
+//! computation); hints carry no accounting weight — `disk_accesses` is
+//! charged by the demand [`NodeAccess::access`] exactly as the paper
+//! charges it, whether or not a read-ahead completed first. The
+//! executor's contract is that every hinted page is subsequently demanded
+//! (hints are a prefix of the true access sequence, never phantom reads),
+//! assuming the join runs to completion. Executors materialize a schedule
+//! only when [`NodeAccess::wants_hints`] says the backend will use it, so
+//! the other backends pay nothing for it.
 //!
-//! ## Completion-driven reads
-//!
-//! A *completion-driven* backend ([`crate::CompletionFileAccess`], and the
-//! prefetching/sharded backends built on the same
-//! [`crate::CompletionQueue`]) services a demand miss by **submitting** the
-//! physical read to a submission/completion queue and returning
-//! immediately: the miss is charged exactly where a blocking backend
-//! charges it (so `IoStats` is bit-identical by construction), but the
-//! bytes arrive later, identified by a [`Ticket`]. The executor gates work
-//! that *consumes* a page on that page's ticket — parking the frame that
-//! produced it and advancing other runnable work — via
-//! [`NodeAccess::last_miss_ticket`] / [`NodeAccess::is_complete`] /
-//! [`NodeAccess::await_ticket`]. Synchronous backends keep the defaults:
-//! no tickets, everything always complete.
+//! A page whose read is still in flight is reported as
+//! [`PageNode::Pending`] with a [`Ticket`]; the executor parks on it with
+//! [`NodeAccess::await_ticket`] and asks again.
 
 use std::sync::Arc;
 
@@ -151,70 +141,17 @@ pub trait NodeAccess {
         false
     }
 
-    /// Advisory: the executor will access `page` of `store` at `depth`
-    /// soon (module docs, "Read-schedule hints"). Must not change any
-    /// accounting. Default: no-op.
-    fn will_access(&mut self, _store: u8, _page: PageId, _depth: usize) {}
-
     /// Advisory: the tail of the read schedule — the upcoming accesses in
-    /// the order the executor plans to make them. Must not change any
-    /// accounting. Default: decomposes into [`NodeAccess::will_access`]
-    /// calls, so backends can implement either granularity.
-    fn hint(&mut self, upcoming: &[PageRef]) {
-        for r in upcoming {
-            self.will_access(r.store, r.page, r.depth);
-        }
-    }
+    /// the order the executor plans to make them (module docs,
+    /// "Read-schedule hints"). Must not change any accounting. Default:
+    /// no-op.
+    fn hint(&mut self, _upcoming: &[PageRef]) {}
 
-    /// Whether demand misses are serviced asynchronously through a
-    /// submission/completion queue (module docs, "Completion-driven
-    /// reads"). Executors may skip the ticket-gating machinery entirely
-    /// when this is `false` (the default).
-    fn completion_driven(&self) -> bool {
-        false
-    }
-
-    /// The ticket of the physical read submitted by the most recent
-    /// demand miss, or [`Ticket::NONE`] if no miss is outstanding.
-    /// Synchronous backends always report [`Ticket::NONE`].
-    fn last_miss_ticket(&self) -> Ticket {
-        Ticket::NONE
-    }
-
-    /// Non-blocking completion check for `ticket`. Synchronous backends
-    /// are always complete. Completion-driven backends count these calls
-    /// (the parked-cursor poll budget is testable).
-    fn is_complete(&self, _ticket: Ticket) -> bool {
-        true
-    }
-
-    /// Blocks until `ticket`'s read has completed. No accounting moves —
-    /// the miss was charged at submission.
+    /// Blocks until the read behind `ticket` (from
+    /// [`PageNode::Pending`]) has completed. No accounting moves — the
+    /// miss was charged when it happened. Default: no-op (a backend that
+    /// never reports a pending page never issues a ticket).
     fn await_ticket(&self, _ticket: Ticket) {}
-
-    /// Whether every submission up to **and including** `ticket` has
-    /// completed. Stronger than [`NodeAccess::is_complete`]: completions
-    /// arrive out of submission order, so a completed ticket may still
-    /// have incomplete predecessors. Executors gate result emission on
-    /// this predicate — a result derived from charged-but-still-flying
-    /// pages is never surfaced. Synchronous backends are always settled.
-    fn is_settled(&self, _ticket: Ticket) -> bool {
-        true
-    }
-
-    /// Blocks until [`NodeAccess::is_settled`] holds for `ticket`.
-    fn await_settled(&self, _ticket: Ticket) {}
-
-    /// Number of submitted reads that have not yet completed. Executors
-    /// use this to bound how far they run ahead of the completion stream.
-    fn in_flight(&self) -> usize {
-        0
-    }
-
-    /// Blocks until every outstanding submission has completed — the
-    /// honesty point at which physical read counters are comparable to
-    /// `disk_accesses`. Default: no-op.
-    fn drain_completions(&self) {}
 }
 
 /// The write half of the page-access boundary: dirty-page registration
@@ -276,44 +213,12 @@ impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
         (**self).wants_hints()
     }
 
-    fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-        (**self).will_access(store, page, depth)
-    }
-
     fn hint(&mut self, upcoming: &[PageRef]) {
         (**self).hint(upcoming)
     }
 
-    fn completion_driven(&self) -> bool {
-        (**self).completion_driven()
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        (**self).last_miss_ticket()
-    }
-
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        (**self).is_complete(ticket)
-    }
-
     fn await_ticket(&self, ticket: Ticket) {
         (**self).await_ticket(ticket)
-    }
-
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        (**self).is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        (**self).await_settled(ticket)
-    }
-
-    fn in_flight(&self) -> usize {
-        (**self).in_flight()
-    }
-
-    fn drain_completions(&self) {
-        (**self).drain_completions()
     }
 }
 
@@ -364,31 +269,9 @@ mod tests {
     fn hints_are_accounting_neutral_on_default_impls() {
         let mut pool = BufferPool::with_capacity_pages(4, &[2]);
         let before = pool.stats();
+        assert!(!pool.wants_hints());
         pool.hint(&[PageRef::new(0, PageId(3), 1), PageRef::new(0, PageId(4), 1)]);
-        pool.will_access(0, PageId(5), 1);
         assert_eq!(pool.stats(), before, "hints must not charge anything");
         assert!(pool.access(0, PageId(3), 1), "hinted page is still cold");
-    }
-
-    #[test]
-    fn default_hint_decomposes_into_will_access() {
-        #[derive(Default)]
-        struct Recorder(Vec<(u8, PageId, usize)>);
-        impl NodeAccess for Recorder {
-            fn access(&mut self, _: u8, _: PageId, _: usize) -> bool {
-                false
-            }
-            fn pin(&mut self, _: u8, _: PageId) {}
-            fn unpin(&mut self, _: u8, _: PageId) {}
-            fn io_stats(&self) -> IoStats {
-                IoStats::default()
-            }
-            fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-                self.0.push((store, page, depth));
-            }
-        }
-        let mut r = Recorder::default();
-        r.hint(&[PageRef::new(1, PageId(7), 2), PageRef::new(0, PageId(9), 3)]);
-        assert_eq!(r.0, vec![(1, PageId(7), 2), (0, PageId(9), 3)]);
     }
 }

@@ -12,14 +12,17 @@
 //! file instead of merely bumping a counter. Given the same LRU capacity
 //! it reports *bit-identical* `disk_accesses` to [`crate::BufferPool`]
 //! (the storage-conformance suite enforces this across SJ1–SJ5); what
-//! changes is that the misses are real.
+//! changes is that the misses are real. It is generic over the page file:
+//! [`crate::ShardedFileAccess`] is the same backend over
+//! [`crate::ShardedPageFile`]s.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::access::{NodeAccess, NodeAccessMut};
+use crate::access::{NodeAccess, NodeAccessMut, PageNode};
 use crate::codec::{
     self, EntryFormat, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES,
 };
@@ -536,12 +539,15 @@ impl WritablePageFile for PageFile {
     fn flush(&mut self) -> Result<(), StorageError> {
         PageFile::flush(self)
     }
+
+    fn reset_io(&mut self) {
+        PageFile::reset_io(self)
+    }
 }
 
-/// Shared constructor validation of the file-backend family
-/// ([`FileNodeAccess`], [`crate::PrefetchingFileAccess`],
-/// [`crate::ShardedFileAccess`]): one backing store per tree height, and
-/// every store on one logical page size.
+/// Shared constructor validation of the file backends ([`FileNodeAccess`]
+/// over either file shape, [`crate::SharedPageCache`]): one backing store
+/// per tree height, and every store on one logical page size.
 pub(crate) fn validate_stores<T>(
     stores: &[T],
     heights: &[usize],
@@ -570,42 +576,49 @@ pub(crate) fn validate_stores<T>(
 }
 
 /// The file-backed [`NodeAccess`] backend: path buffers + one LRU buffer
-/// over a set of [`PageFile`]s, one per participating tree/store.
+/// over a set of page files, one per participating tree/store — single
+/// [`PageFile`]s by default, or [`crate::ShardedPageFile`]s
+/// ([`crate::ShardedFileAccess`]), where each miss reads from whichever
+/// shard owns the page.
 ///
 /// The access logic replays [`crate::BufferPool`]'s decision sequence
 /// exactly — path probe, path install, LRU access — so with the same LRU
 /// capacity the reported [`IoStats`] are identical; a miss additionally
-/// performs a real page read from the backing file (visible in
-/// [`PageFile::reads`]). A read failure panics: files are validated on
-/// open, so a failing read within bounds means the storage itself broke
-/// mid-join, which this executor cannot meaningfully continue from.
+/// performs a real, blocking page read from the backing file (visible in
+/// [`PageFile::reads`]). A read that fails is kept, not raised: the
+/// executor gets it as [`PageNode::Failed`] when it asks for that page's
+/// node, and stops with a typed error.
 #[derive(Debug)]
-pub struct FileNodeAccess {
-    files: Vec<PageFile>,
+pub struct FileNodeAccess<F: WritablePageFile = PageFile> {
+    files: Vec<F>,
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
     stats: IoStats,
     scratch: Vec<u8>,
+    /// Pages whose last read failed, with the error until the executor
+    /// has taken it.
+    failed: HashMap<BufKey, Option<StorageError>>,
     /// Dirty-page payloads awaiting write-back ([`NodeAccessMut`]).
     dirty: DirtyPages,
 }
 
-impl FileNodeAccess {
+impl<F: WritablePageFile> FileNodeAccess<F> {
     /// Backend over `files` (store `i` resolves to `files[i]`) with an LRU
     /// buffer of `cap_pages` and one path buffer per entry of `heights`.
     pub fn with_capacity_pages(
-        files: Vec<PageFile>,
+        files: Vec<F>,
         cap_pages: usize,
         heights: &[usize],
         policy: EvictionPolicy,
     ) -> Result<Self, StorageError> {
-        validate_stores(&files, heights, PageFile::page_bytes)?;
+        validate_stores(&files, heights, |f: &F| f.page_bytes())?;
         Ok(FileNodeAccess {
             files,
             lru: LruBuffer::with_policy(cap_pages, policy),
             paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
             stats: IoStats::default(),
             scratch: Vec::new(),
+            failed: HashMap::new(),
             dirty: DirtyPages::default(),
         })
     }
@@ -614,14 +627,14 @@ impl FileNodeAccess {
     /// a byte budget over the files' logical page size (the paper quotes
     /// buffer sizes in KBytes).
     pub fn new(
-        files: Vec<PageFile>,
+        files: Vec<F>,
         buffer_bytes: usize,
         heights: &[usize],
         policy: EvictionPolicy,
     ) -> Result<Self, StorageError> {
         let page_bytes = files
             .first()
-            .map(PageFile::page_bytes)
+            .map(|f| f.page_bytes())
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
         Self::with_capacity_pages(files, buffer_bytes / page_bytes, heights, policy)
     }
@@ -634,14 +647,14 @@ impl FileNodeAccess {
 
     /// The backing file of `store` (counter inspection, reopening).
     #[inline]
-    pub fn file(&self, store: u8) -> &PageFile {
+    pub fn file(&self, store: u8) -> &F {
         &self.files[store as usize]
     }
 
     /// The backing file of `store`, mutably — the update path allocates
     /// and releases pages through this.
     #[inline]
-    pub fn file_mut(&mut self, store: u8) -> &mut PageFile {
+    pub fn file_mut(&mut self, store: u8) -> &mut F {
         &mut self.files[store as usize]
     }
 
@@ -652,9 +665,8 @@ impl FileNodeAccess {
     }
 
     /// Writes back every dirty page the LRU evicted since the last drain.
-    /// A write-back failure panics, like a failed demand read: the
-    /// storage broke mid-operation and the buffered payload has nowhere
-    /// else to go.
+    /// A write-back failure panics: the storage broke mid-operation and
+    /// the buffered payload has nowhere else to go.
     fn write_back_evicted(&mut self) {
         let files = &mut self.files;
         self.dirty
@@ -672,14 +684,16 @@ impl FileNodeAccess {
 
     /// Empties all buffers and zeroes *every* I/O counter — the
     /// [`IoStats`] tallies, the LRU hit/miss/eviction counters, and the
-    /// read/write counters of all backing [`PageFile`]s — so consecutive
-    /// bench runs start genuinely cold. Un-flushed dirty pages are
+    /// read/write counters of all backing files — so consecutive bench
+    /// runs start genuinely cold. Un-flushed dirty pages are
     /// **discarded** (callers on the update path flush first; a reset is
-    /// a measurement boundary, not a durability point).
+    /// a measurement boundary, not a durability point), and so are kept
+    /// read failures.
     pub fn reset(&mut self) {
         self.lru.clear();
         self.lru.reset_io();
         self.dirty.clear();
+        self.failed.clear();
         for p in &mut self.paths {
             p.clear();
         }
@@ -690,12 +704,12 @@ impl FileNodeAccess {
     }
 
     /// Consumes the backend, returning the page files.
-    pub fn into_files(self) -> Vec<PageFile> {
+    pub fn into_files(self) -> Vec<F> {
         self.files
     }
 }
 
-impl NodeAccess for FileNodeAccess {
+impl<F: WritablePageFile> NodeAccess for FileNodeAccess<F> {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
         let miss = crate::pool::hierarchy_access(
             &mut self.lru,
@@ -712,9 +726,16 @@ impl NodeAccess for FileNodeAccess {
             // The honest part: a miss is a real read from the file, into
             // the backend's one reusable scratch buffer (steady-state
             // misses allocate nothing).
-            self.files[store as usize]
-                .read_page_into(page, &mut self.scratch)
-                .expect("page file read failed mid-join");
+            let key = BufKey::new(store, page);
+            match self.files[store as usize].read_page_into(page, &mut self.scratch) {
+                Ok(()) if self.failed.is_empty() => {}
+                Ok(()) => {
+                    self.failed.remove(&key);
+                }
+                Err(e) => {
+                    self.failed.insert(key, Some(e));
+                }
+            }
         }
         miss
     }
@@ -732,9 +753,25 @@ impl NodeAccess for FileNodeAccess {
     fn io_stats(&self) -> IoStats {
         self.stats
     }
+
+    /// [`PageNode::Failed`] for a page whose read failed — the error
+    /// itself the first time, a reminder after — and
+    /// [`PageNode::InMemory`] otherwise: the bytes this backend reads
+    /// pace the join, the in-memory tree supplies the node.
+    fn page_node(&mut self, store: u8, page: PageId) -> PageNode {
+        if self.failed.is_empty() {
+            return PageNode::InMemory;
+        }
+        match self.failed.get_mut(&BufKey::new(store, page)) {
+            None => PageNode::InMemory,
+            Some(e) => PageNode::Failed(e.take().unwrap_or_else(|| {
+                StorageError::Corrupt(format!("page {page} of store {store} failed to read"))
+            })),
+        }
+    }
 }
 
-impl NodeAccessMut for FileNodeAccess {
+impl<F: WritablePageFile> NodeAccessMut for FileNodeAccess<F> {
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
         let files = &mut self.files;
         self.dirty
@@ -762,14 +799,14 @@ impl NodeAccessMut for FileNodeAccess {
     }
 }
 
-impl UpdateBackend for FileNodeAccess {
-    type File = PageFile;
+impl<F: WritablePageFile> UpdateBackend for FileNodeAccess<F> {
+    type File = F;
 
-    fn store_file(&self, store: u8) -> &PageFile {
+    fn store_file(&self, store: u8) -> &F {
         self.file(store)
     }
 
-    fn store_file_mut(&mut self, store: u8) -> &mut PageFile {
+    fn store_file_mut(&mut self, store: u8) -> &mut F {
         self.file_mut(store)
     }
 }
@@ -905,6 +942,33 @@ mod tests {
             (0, 0, 0)
         );
         assert!(acc.access(0, PageId(0), 0), "cold again after reset");
+    }
+
+    #[test]
+    fn a_failed_read_is_kept_and_served_as_a_typed_failure() {
+        let dir = TempDir::new("fna").unwrap();
+        let f = demo_file(&dir, "t.rsj", 3);
+        let mut acc =
+            FileNodeAccess::with_capacity_pages(vec![f], 1, &[1], EvictionPolicy::Lru).unwrap();
+        assert!(acc.access(0, PageId(0), 0));
+        assert!(matches!(acc.page_node(0, PageId(0)), PageNode::InMemory));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.file("t.rsj"))
+            .unwrap()
+            .set_len(HEADER_BYTES as u64)
+            .unwrap();
+        assert!(acc.access(0, PageId(1), 0), "still charged as a miss");
+        assert!(matches!(
+            acc.page_node(0, PageId(1)),
+            PageNode::Failed(StorageError::Io(_))
+        ));
+        assert!(
+            matches!(acc.page_node(0, PageId(1)), PageNode::Failed(_)),
+            "the page stays failed"
+        );
+        acc.reset();
+        assert!(matches!(acc.page_node(0, PageId(1)), PageNode::InMemory));
     }
 
     #[test]

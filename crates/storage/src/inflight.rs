@@ -1,14 +1,11 @@
-//! In-flight read bookkeeping shared by every asynchronous file backend.
+//! In-flight read bookkeeping of the completion queue.
 //!
-//! Before the completion queue existed, [`crate::PrefetchingFileAccess`]
-//! and [`crate::ShardedFileAccess`]'s parallel readers each kept their own
-//! staged-token / in-flight-key tables (a `staged` map plus `queued` and
-//! `in_flight` sets, with subtly different payload policies). This module
-//! is the one copy both now share: [`InflightTables`] tracks every
-//! submitted read from hint or demand until its completion is consumed,
-//! keyed both by [`BufKey`] (for deduplication and demand adoption) and by
-//! ticket (for completion gating). [`crate::CompletionQueue`] owns an
-//! instance behind its lock; the backends never touch raw tables anymore.
+//! [`InflightTables`] tracks every frame read submitted to
+//! [`crate::CompletionQueue`] from submission until its owner takes the
+//! bytes: per-lane FIFO submission queues, the outstanding count, the
+//! completion frontier (for the lock-free poll fast path) and the
+//! completed reads waiting to be collected. The queue owns one instance
+//! behind its lock.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
@@ -18,8 +15,7 @@ use crate::lru::BufKey;
 use crate::page::PageId;
 
 /// One submitted read: the global buffer key it serves, and the slot to
-/// read in its lane's physical file (identical to `key.page` for
-/// whole-tree files, a shard-local slot for sharded ones).
+/// read in its lane's physical file.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadJob {
     pub ticket: u64,
@@ -28,47 +24,19 @@ pub(crate) struct ReadJob {
     /// When the submission entered its lane — completion lag (submit →
     /// complete, queue wait included) is measured from here.
     pub submitted: Instant,
-    /// Whether the worker hands the bytes (or the read error) back for
-    /// [`InflightTables::take_page`] instead of dropping them.
-    pub keep: bool,
-}
-
-/// Where a submission currently is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    /// In a lane's submission queue, no worker has claimed it.
-    Queued,
-    /// A worker is reading it right now.
-    Flying,
-    /// Read complete, completion not yet consumed by a demand miss.
-    Staged,
-}
-
-/// A submission as seen from its [`BufKey`]: which ticket identifies it,
-/// which lane it was submitted on, and how far along it is.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KeyEntry {
-    pub ticket: u64,
-    pub lane: usize,
-    pub phase: Phase,
 }
 
 /// The shared submission/in-flight/completion tables (module docs).
 ///
 /// Lifecycle of one submission: [`InflightTables::submit`] issues a ticket
 /// and queues a [`ReadJob`] on its lane → a worker
-/// [`InflightTables::claim`]s it (phase `Flying`) →
-/// [`InflightTables::complete`] marks the ticket done (phase `Staged`).
-/// A demand miss [`InflightTables::consume`]s the key at any phase — the
-/// physical read still happens exactly once; only who waits changes.
+/// [`InflightTables::claim`]s it → [`InflightTables::deliver`] files the
+/// bytes (or the read error) and [`InflightTables::complete`] marks the
+/// ticket done → the owner [`InflightTables::take_page`]s the outcome.
 #[derive(Default)]
 pub(crate) struct InflightTables {
     /// Per-lane submission queues, oldest first.
     pub lanes: Vec<VecDeque<ReadJob>>,
-    /// Every submission not yet consumed by a demand miss.
-    by_key: HashMap<BufKey, KeyEntry>,
-    /// Submissions in phase `Staged` (completed, unconsumed).
-    staged: usize,
     /// Submitted but not yet completed (queued + flying).
     pub outstanding: usize,
     /// Completion frontier: every ticket below this has completed.
@@ -78,8 +46,7 @@ pub(crate) struct InflightTables {
     done: BTreeSet<u64>,
     /// Next ticket to issue. Tickets start at 1; 0 is [`crate::Ticket::NONE`].
     next_ticket: u64,
-    /// Completed reads of `keep` jobs, by ticket, until their owner takes
-    /// them.
+    /// Completed reads, by ticket, until their owner takes them.
     pages: HashMap<u64, Result<Vec<u8>, StorageError>>,
     /// Set once on drop; workers exit at the next wakeup.
     pub shutdown: bool,
@@ -89,8 +56,6 @@ impl InflightTables {
     pub fn new(lanes: usize) -> Self {
         InflightTables {
             lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
-            by_key: HashMap::new(),
-            staged: 0,
             outstanding: 0,
             done_below: 1,
             done: BTreeSet::new(),
@@ -100,82 +65,12 @@ impl InflightTables {
         }
     }
 
-    /// Number of submissions whose completion has not been consumed —
-    /// the pipeline depth the hint window bounds.
-    #[inline]
-    pub fn pipeline_len(&self) -> usize {
-        self.by_key.len()
-    }
-
-    /// Completed-but-unconsumed submissions (the "staged pages" of the
-    /// prefetch backend).
-    #[inline]
-    pub fn staged_len(&self) -> usize {
-        self.staged
-    }
-
-    /// Whether `key` already has an unconsumed submission.
-    #[inline]
-    pub fn is_submitted(&self, key: BufKey) -> bool {
-        self.by_key.contains_key(&key)
-    }
-
-    /// Issues a ticket for a new read of `key` on `lane` and queues the
-    /// job. The caller must have checked [`InflightTables::is_submitted`].
-    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
-        debug_assert!(!self.by_key.contains_key(&key));
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.by_key.insert(
-            key,
-            KeyEntry {
-                ticket,
-                lane,
-                phase: Phase::Queued,
-            },
-        );
-        self.lanes[lane].push_back(ReadJob {
-            ticket,
-            key,
-            local,
-            submitted: Instant::now(),
-            keep: false,
-        });
-        self.outstanding += 1;
-        ticket
-    }
-
-    /// Issues a ticket for a *demand* read of `key` on `lane` and queues
-    /// the job without registering it for adoption: the miss is charged
-    /// by its caller, so a later re-miss of the same key (after an
-    /// eviction) must perform — and pay for — its own read. Adoption is
-    /// only honest for hint reads, which are never charged; a stale
-    /// demand entry adopted twice would make one physical read serve two
-    /// charged accesses.
-    pub fn submit_demand(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
-        // Demand outranks queued read-ahead on its lane, same as the
-        // promotion a demand adoption performs in `consume`.
-        self.submit_unregistered(lane, key, local, true, false)
-    }
-
-    /// Issues a ticket for a read whose bytes the caller takes back with
-    /// [`InflightTables::take_page`] — the frame reads of the shared page
-    /// cache, which is its own single-flight authority, so the job is
-    /// never registered for adoption either. `front` queues it ahead of
-    /// the lane's other jobs (a demand) instead of behind them (a
+    /// Issues a ticket for a read of `key` (slot `local` of `lane`'s
+    /// file) whose outcome the caller takes back with
+    /// [`InflightTables::take_page`]. `front` queues it ahead of the
+    /// lane's other jobs (a demand) instead of behind them (a
     /// read-ahead).
-    pub fn submit_frame(&mut self, lane: usize, key: BufKey, local: PageId, front: bool) -> u64 {
-        self.submit_unregistered(lane, key, local, front, true)
-    }
-
-    fn submit_unregistered(
-        &mut self,
-        lane: usize,
-        key: BufKey,
-        local: PageId,
-        front: bool,
-        keep: bool,
-    ) -> u64 {
+    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId, front: bool) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         let job = ReadJob {
@@ -183,7 +78,6 @@ impl InflightTables {
             key,
             local,
             submitted: Instant::now(),
-            keep,
         };
         if front {
             self.lanes[lane].push_front(job);
@@ -204,14 +98,13 @@ impl InflightTables {
         }
     }
 
-    /// Files the outcome of a completed `keep` read until its owner takes
-    /// it.
+    /// Files the outcome of a completed read until its owner takes it.
     pub fn deliver(&mut self, ticket: u64, page: Result<Vec<u8>, StorageError>) {
         self.pages.insert(ticket, page);
     }
 
-    /// Takes the outcome of a completed `keep` read (`None` if the job
-    /// was abandoned unread, or taken already).
+    /// Takes the outcome of a completed read (`None` if the job was
+    /// abandoned unread, or taken already).
     pub fn take_page(&mut self, ticket: u64) -> Option<Result<Vec<u8>, StorageError>> {
         self.pages.remove(&ticket)
     }
@@ -225,50 +118,15 @@ impl InflightTables {
 
     /// A worker claims the oldest queued job of `lane`, if any.
     pub fn claim(&mut self, lane: usize) -> Option<ReadJob> {
-        let job = self.lanes[lane].pop_front()?;
-        if let Some(e) = self.by_key.get_mut(&job.key) {
-            // Entry may be gone (demand consumed the submission early) or
-            // may belong to a *newer* submission of the same key; only
-            // this job's own entry moves to `Flying`.
-            if e.ticket == job.ticket {
-                e.phase = Phase::Flying;
-            }
-        }
-        Some(job)
+        self.lanes[lane].pop_front()
     }
 
     /// A worker finished reading `job` — its ticket completes (whether
-    /// the read succeeded or not; a failure is surfaced by the queue, not
-    /// left to dead-lock a waiter).
+    /// the read succeeded or not; a failure travels with the outcome,
+    /// never left to dead-lock a waiter).
     pub fn complete(&mut self, job: &ReadJob) {
         self.outstanding -= 1;
         self.mark_done(job.ticket);
-        if let Some(e) = self.by_key.get_mut(&job.key) {
-            if e.ticket == job.ticket {
-                e.phase = Phase::Staged;
-                self.staged += 1;
-            }
-        }
-    }
-
-    /// A demand miss for `key`: adopts the existing submission if there is
-    /// one (returning its ticket and the phase it was found in), so the
-    /// in-progress read *is* the miss's read — never a duplicate.
-    pub fn consume(&mut self, key: BufKey) -> Option<KeyEntry> {
-        let entry = self.by_key.remove(&key)?;
-        match entry.phase {
-            Phase::Staged => self.staged -= 1,
-            Phase::Queued => {
-                // Jump the queue: demand outranks read-ahead on its lane.
-                let lane = &mut self.lanes[entry.lane];
-                if let Some(pos) = lane.iter().position(|j| j.ticket == entry.ticket) {
-                    let job = lane.remove(pos).expect("position just found");
-                    lane.push_front(job);
-                }
-            }
-            Phase::Flying => {}
-        }
-        Some(entry)
     }
 
     /// Whether `ticket` has completed.
@@ -298,21 +156,14 @@ impl InflightTables {
         for job in jobs {
             self.outstanding -= 1;
             self.mark_done(job.ticket);
-            if let Some(e) = self.by_key.get(&job.key) {
-                if e.ticket == job.ticket {
-                    self.by_key.remove(&job.key);
-                }
-            }
         }
     }
 
-    /// Forgets every consumed-or-staged key (after the flying set has
+    /// Forgets every uncollected outcome (after the flying set has
     /// drained): the queue is empty and cold.
-    pub fn clear_consumed(&mut self) {
+    pub fn clear_pages(&mut self) {
         debug_assert_eq!(self.outstanding, 0);
-        self.by_key.clear();
         self.pages.clear();
-        self.staged = 0;
     }
 }
 
@@ -327,9 +178,9 @@ mod tests {
     #[test]
     fn tickets_complete_out_of_order_and_fold_into_the_frontier() {
         let mut t = InflightTables::new(1);
-        let a = t.submit(0, key(1), PageId(1));
-        let b = t.submit(0, key(2), PageId(2));
-        let c = t.submit(0, key(3), PageId(3));
+        let a = t.submit(0, key(1), PageId(1), false);
+        let b = t.submit(0, key(2), PageId(2), false);
+        let c = t.submit(0, key(3), PageId(3), false);
         let (ja, jb, jc) = (
             t.claim(0).unwrap(),
             t.claim(0).unwrap(),
@@ -343,29 +194,30 @@ mod tests {
         assert!(t.is_done(b));
         assert_eq!(t.done_floor(), c + 1, "frontier folds the whole run");
         assert_eq!(t.outstanding, 0);
-        assert_eq!(t.staged_len(), 3);
     }
 
     #[test]
-    fn demand_consumption_promotes_queued_jobs() {
+    fn front_submissions_and_promotion_jump_the_lane() {
         let mut t = InflightTables::new(1);
-        t.submit(0, key(1), PageId(1));
-        let b = t.submit(0, key(2), PageId(2));
-        let e = t.consume(key(2)).expect("submitted");
-        assert_eq!((e.ticket, e.phase), (b, Phase::Queued));
-        // The consumed job jumped to the front of its lane.
-        assert_eq!(t.claim(0).unwrap().ticket, b);
-        assert!(t.consume(key(2)).is_none(), "consumed exactly once");
+        t.submit(0, key(1), PageId(1), false);
+        let b = t.submit(0, key(2), PageId(2), false);
+        let c = t.submit(0, key(3), PageId(3), true);
+        assert_eq!(t.claim(0).unwrap().ticket, c, "a demand goes first");
+        t.promote(0, b);
+        assert_eq!(t.claim(0).unwrap().ticket, b, "a promoted read-ahead next");
     }
 
     #[test]
     fn abandon_queued_completes_dropped_tickets() {
         let mut t = InflightTables::new(2);
-        let a = t.submit(0, key(1), PageId(1));
-        let b = t.submit(1, key(2), PageId(2));
+        let a = t.submit(0, key(1), PageId(1), false);
+        let b = t.submit(1, key(2), PageId(2), true);
         t.abandon_queued();
         assert!(t.is_done(a) && t.is_done(b));
         assert_eq!(t.outstanding, 0);
-        assert_eq!(t.pipeline_len(), 0);
+        assert!(
+            t.take_page(a).is_none(),
+            "an abandoned read delivers nothing"
+        );
     }
 }

@@ -14,8 +14,10 @@
 //! * [`BufferPool`] — composes the two lookup layers (path buffer first,
 //!   then LRU, then "disk") and tallies [`IoStats`].
 //! * [`NodeAccess`] — the pluggable page-access interface the join
-//!   executors charge against; implemented by [`BufferPool`] and by
-//!   [`SharedBufferHandle`].
+//!   executors charge against; implemented by [`BufferPool`] (the
+//!   accounting oracle), [`SharedBufferHandle`], [`FileNodeAccess`] (the
+//!   blocking reference) and [`SharedCacheFileAccess`] (the production
+//!   backend).
 //! * [`SharedBufferPool`] — a sharded, lock-based LRU layer shared by
 //!   concurrent join workers, each holding a [`SharedBufferHandle`] with
 //!   private path buffers and statistics.
@@ -39,28 +41,26 @@
 //!   counters;
 //! * [`FileNodeAccess`] — the file-backed [`NodeAccess`] backend: the same
 //!   path-buffer → LRU hierarchy as [`BufferPool`] (bit-identical
-//!   `disk_accesses` at equal capacity), but every miss performs an actual
-//!   page read from the backing file;
-//! * [`PrefetchingFileAccess`] — the file backend plus a small thread-pool
-//!   servicing the executor's read-schedule hints ([`NodeAccess::hint`]):
-//!   hinted pages are staged ahead of demand, overlapping I/O with
-//!   computation while leaving every `IoStats` number untouched;
+//!   `disk_accesses` at equal capacity), but every miss performs an actual,
+//!   blocking page read from the backing file; a read that fails reaches
+//!   the executor as a typed error ([`PageNode::Failed`]);
 //! * [`ShardedPageFile`] / [`ShardedFileAccess`] — one tree split across N
 //!   physical files (manifest + per-shard page files; the R\*-tree crate
 //!   partitions by root-entry subtree), so shared-nothing parallel workers
-//!   read genuinely disjoint files — optionally with one hint-fed reader
-//!   thread per shard file
-//!   ([`ShardedFileAccess::with_parallel_readers`]);
-//! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
-//!   frame cache over the completion queue: sharded, pin-counted frames
-//!   walking an Empty → Reading → Resident → Dirty state machine and
-//!   holding the decoded node of their bytes, single-flight physical
-//!   reads across concurrent demanders, and warm frames that outlive a
-//!   single join — while every worker keeps private path buffers and a
-//!   private logical LRU, so its [`IoStats`] stay bit-identical to a
-//!   private-buffer worker, and hands its executor the nodes its misses
-//!   read ([`NodeAccess::page_node`]), reading ahead along the
-//!   executor's schedule;
+//!   read genuinely disjoint files; the backend is [`FileNodeAccess`] over
+//!   the sharded files, with a per-shard read split;
+//! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the production
+//!   backend: a latched shared frame cache over the [`CompletionQueue`]
+//!   (one reader lane per store): sharded, pin-counted frames walking an
+//!   Empty → Reading → Resident → Dirty state machine and holding the
+//!   decoded node of their bytes, single-flight physical reads across
+//!   concurrent demanders, and warm frames that outlive a single join —
+//!   while every worker keeps private path buffers and a private logical
+//!   LRU, so its [`IoStats`] stay bit-identical to a private-buffer
+//!   worker, and hands its executor the nodes its misses read
+//!   ([`NodeAccess::page_node`]). Each handle hides read latency one way
+//!   only: it reads ahead along the executor's announced §4.3 schedule
+//!   ([`NodeAccess::hint`]);
 //! * [`partition`] — the one Fibonacci-hash partitioner shared by the
 //!   buffer shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
@@ -103,7 +103,6 @@ pub mod page;
 pub mod partition;
 pub mod path;
 pub mod pool;
-pub mod prefetch;
 pub mod sharded;
 pub mod shared;
 pub mod temp;
@@ -113,7 +112,7 @@ pub use access::{NodeAccess, NodeAccessMut, PageNode, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};
-pub use completion::{CompletionConfig, CompletionFileAccess, CompletionLag, CompletionQueue};
+pub use completion::{CompletionLag, CompletionQueue};
 pub use cost::CostModel;
 pub use file::{FileNodeAccess, PageFile, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};
@@ -122,8 +121,7 @@ pub use page::{PageEvent, PageId, PageStore};
 pub use partition::{partition, partition_key};
 pub use path::PathBuffer;
 pub use pool::{BufKey, BufferPool, IoStats};
-pub use prefetch::{PrefetchConfig, PrefetchingFileAccess};
-pub use sharded::{ShardReaderConfig, ShardedFileAccess, ShardedPageFile};
+pub use sharded::{ShardedFileAccess, ShardedPageFile};
 pub use shared::{auto_shard_count, SharedBufferHandle, SharedBufferPool};
 pub use temp::TempDir;
 pub use writeback::{UpdateBackend, WritablePageFile};

@@ -44,8 +44,9 @@ impl IoStats {
 }
 
 /// The §4.1 access decision shared by every backend that owns its buffers
-/// privately ([`BufferPool`], [`crate::FileNodeAccess`] and its prefetching
-/// and sharded siblings): probe the owning tree's path buffer, fall through
+/// privately ([`BufferPool`], [`crate::FileNodeAccess`] over either file
+/// shape, and the [`crate::SharedCacheFileAccess`] handles' private
+/// logical buffers): probe the owning tree's path buffer, fall through
 /// to the LRU buffer, and charge a disk access on a miss. Returns `true`
 /// iff the caller must actually fetch the page.
 ///

@@ -3,8 +3,8 @@
 //!
 //! The accounting backends ([`crate::BufferPool`]) model write-back as a
 //! counter; the file backends must hold the actual bytes of every dirty
-//! page until the write happens. [`DirtyPages`] is that payload table,
-//! shared by [`crate::FileNodeAccess`] and [`crate::ShardedFileAccess`]:
+//! page until the write happens. [`DirtyPages`] is that payload table of
+//! [`crate::FileNodeAccess`] (over either file shape):
 //! `stash` registers a mutated page's encoded bytes, `write_back_evicted`
 //! drains the LRU's dirty-eviction queue into physical writes, and
 //! `flush_all` writes whatever is still dirty. Keeping this in one place
@@ -325,6 +325,9 @@ pub trait WritablePageFile {
 
     /// Persists headers (page counts, free head, metadata) durably.
     fn flush(&mut self) -> Result<(), StorageError>;
+
+    /// Zeroes the file's read/write counters.
+    fn reset_io(&mut self);
 }
 
 /// A write-capable access backend over one [`WritablePageFile`] per store
@@ -340,10 +343,10 @@ pub trait UpdateBackend: NodeAccessMut {
     fn store_file_mut(&mut self, store: u8) -> &mut Self::File;
 
     /// Whether this backend *instance* accepts writes. A type can be
-    /// write-capable while a particular configuration is not (a
-    /// parallel-reader sharded backend holds independent read handles a
-    /// write could race); update drivers check this up front and refuse
-    /// the backend with a typed error instead of panicking mid-update.
+    /// write-capable while a particular instance is not (a read handle of
+    /// the shared page cache holds no write handle); update drivers check
+    /// this up front and refuse the backend with a typed error instead of
+    /// panicking mid-update.
     fn supports_writes(&self) -> bool {
         true
     }

@@ -1,20 +1,18 @@
-//! Cold starts over persistent trees: plain, warm, prefetched, sharded.
+//! Cold starts over persistent trees: plain, warm, sharded.
 //!
 //! Builds the preset-(A) relations, saves both R*-trees to disk (single
 //! page files *and* subtree-sharded files), then runs the same SJ4 join
-//! four ways and prints the I/O story of each:
+//! three ways and prints the I/O story of each:
 //!
 //! 1. **cold** — a fresh `FileNodeAccess`: every buffer miss is a real
 //!    page read;
 //! 2. **warm** — the same accountant again: the LRU still holds the
 //!    working set;
-//! 3. **prefetched** — a cold `PrefetchingFileAccess`: the executor's
-//!    read-schedule hints let worker threads stage pages ahead of demand
-//!    (identical `disk_accesses`, part of the misses served early);
-//! 4. **sharded** — a cold `ShardedFileAccess` over 4 files per tree,
-//!    split by root-entry subtree: the physical layout a shared-nothing
-//!    parallel deployment would put on separate spindles;
-//! 5. **update-then-rejoin** — the write path: `OpenTree` deletes and
+//! 3. **sharded** — a cold `ShardedFileAccess` (the same file backend
+//!    over 4 files per tree, split by root-entry subtree): the physical
+//!    layout a shared-nothing parallel deployment would put on separate
+//!    spindles;
+//! 4. **update-then-rejoin** — the write path: `OpenTree` deletes and
 //!    inserts against the *open* R file (reads charged through the same
 //!    buffer hierarchy, dirty pages written back on eviction/flush, split
 //!    pages allocated off the persistent free list), then the same SJ4
@@ -24,9 +22,7 @@
 //! Run with: `cargo run --release --example cold_start`
 
 use rsj::prelude::*;
-use rsj::storage::{
-    PrefetchConfig, PrefetchingFileAccess, ShardedFileAccess, ShardedPageFile, TempDir,
-};
+use rsj::storage::{ShardedFileAccess, ShardedPageFile, TempDir};
 use rsj_storage::IoStats;
 
 const PAGE: usize = 1024;
@@ -122,33 +118,7 @@ fn main() {
         ),
     );
 
-    // 3: prefetched cold run — same accounting, misses served early.
-    let access = PrefetchingFileAccess::new(
-        open_files(),
-        BUFFER,
-        &heights,
-        EvictionPolicy::Lru,
-        PrefetchConfig::default(),
-    )
-    .expect("prefetch backend");
-    let (pre, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
-    assert_eq!(pre.stats.io, cold.stats.io, "prefetch never moves IoStats");
-    report(
-        "prefetched",
-        pre.stats.io,
-        &format!(
-            "  ({} of {} misses staged ahead of demand)",
-            access.prefetch_hits(),
-            access.prefetch_hits() + access.demand_reads()
-        ),
-    );
-    println!(
-        "               (the staged share is timing-dependent: this demo joins in\n\
-         \u{20}               microseconds out of the page cache — a real disk gives the\n\
-         \u{20}               workers milliseconds of lead per hint)"
-    );
-
-    // 4: sharded cold run — same accounting, reads spread over 4 files.
+    // 3: sharded cold run — same accounting, reads spread over 4 files.
     let (rsh, ssh) = (
         RTree::open_sharded_from(&rb).expect("reopen sharded R"),
         RTree::open_sharded_from(&sb).expect("reopen sharded S"),
@@ -168,9 +138,8 @@ fn main() {
         sharded.stats.io, cold.stats.io,
         "sharding never moves IoStats"
     );
-    let per_shard: Vec<u64> = (0..SHARDS)
-        .map(|i| access.file(0).shard_reads(i) + access.file(1).shard_reads(i))
-        .collect();
+    let (r_split, s_split) = (access.read_split(0), access.read_split(1));
+    let per_shard: Vec<u64> = r_split.iter().zip(&s_split).map(|(a, b)| a + b).collect();
     report(
         "sharded",
         sharded.stats.io,
@@ -178,12 +147,12 @@ fn main() {
     );
 
     println!(
-        "\nall four runs report identical disk accesses — the paper's metric is\n\
-         a property of the schedule and the buffer, not of where the bytes live\n\
-         or when they were fetched."
+        "\nthe cold and sharded runs report identical disk accesses — the paper's\n\
+         metric is a property of the schedule and the buffer, not of where the\n\
+         bytes live."
     );
 
-    // 5: the write path — update R *in place* on an open file, then rejoin.
+    // 4: the write path — update R *in place* on an open file, then rejoin.
     let rup = dir.file("updated/r.rsj");
     std::fs::copy(&rp, &rup).expect("copy R file");
     let mut open = rsj::rtree::OpenFileTree::open(&rup, BUFFER / PAGE).expect("open for update");

@@ -12,15 +12,15 @@
 //!   exact polyline/polygon geometry;
 //! * [`storage`] — simulated paged disk, LRU buffer with pinning, path
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
-//!   pluggable [`storage::NodeAccess`] boundary with its five backends:
-//!   private [`storage::BufferPool`], sharded [`storage::SharedBufferPool`]
-//!   for concurrent workers, the persistent [`storage::FileNodeAccess`]
-//!   over real [`storage::PageFile`]s (endian-stable binary page format,
-//!   typed [`storage::StorageError`]s), the hint-driven
-//!   [`storage::PrefetchingFileAccess`] whose worker threads service the
-//!   executor's read-schedule hints ahead of demand, and the
-//!   [`storage::ShardedFileAccess`] over trees split across N physical
-//!   files by subtree partition — trees saved with
+//!   pluggable [`storage::NodeAccess`] boundary with its backends: the
+//!   private [`storage::BufferPool`] (the accounting oracle), sharded
+//!   [`storage::SharedBufferPool`] handles for concurrent workers, the
+//!   blocking [`storage::FileNodeAccess`] over real [`storage::PageFile`]s
+//!   (endian-stable binary page format, typed
+//!   [`storage::StorageError`]s) or over trees split across N physical
+//!   files by subtree partition ([`storage::ShardedFileAccess`]), and the
+//!   production [`storage::SharedPageCache`], whose handles read ahead
+//!   along the executor's read schedule — trees saved with
 //!   [`rtree::RTree::save_to`] (or [`rtree::RTree::save_sharded_to`])
 //!   reopen cold via [`rtree::RTree::open_from`] /
 //!   [`rtree::RTree::open_sharded_from`] and join with honest cold/warm
@@ -139,8 +139,7 @@ pub mod prelude {
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, PrefetchConfig, PrefetchingFileAccess, ShardReaderConfig,
-        ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
+        PageFile, PageRef, ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

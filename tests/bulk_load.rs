@@ -8,8 +8,7 @@
 //!   and hold the identical data-entry multiset;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
-//!   backend: plain file, prefetching, completion-queue, sharded, and the
-//!   latched shared page cache.
+//!   backend: plain file, sharded, and the latched shared page cache.
 //!
 //! Exact `IoStats` are *not* pinned against the in-memory tree: the
 //! streaming STR build keeps the order its leaf packing induces for upper
@@ -20,9 +19,8 @@ use rsj::prelude::*;
 use rsj::rtree::bulk::{self, BulkConfig, BulkLayout};
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    BufferPool, CacheConfig, CompletionConfig, CompletionFileAccess, FileNodeAccess, NodeAccess,
-    PageFile, PrefetchConfig, PrefetchingFileAccess, ShardedFileAccess, ShardedPageFile,
-    SharedPageCache, TempDir,
+    BufferPool, CacheConfig, FileNodeAccess, NodeAccess, PageFile, ShardedFileAccess,
+    ShardedPageFile, SharedPageCache, TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -211,36 +209,6 @@ fn bulk_files_join_identically_across_all_backends() {
             )
             .unwrap();
             assert_eq!(run(&fx.r_file, &fx.s_file, plan, file), want, "{tag}: file");
-
-            // Prefetching backend.
-            let pf = PrefetchingFileAccess::with_capacity_pages(
-                fx.files(),
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-                PrefetchConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                run(&fx.r_file, &fx.s_file, plan, pf),
-                want,
-                "{tag}: prefetch"
-            );
-
-            // Completion-queue backend.
-            let cq = CompletionFileAccess::with_capacity_pages(
-                fx.files(),
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-                CompletionConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                run(&fx.r_file, &fx.s_file, plan, cq),
-                want,
-                "{tag}: completion"
-            );
 
             // Sharded backend over the streamed sharded twins.
             let sharded = ShardedFileAccess::with_capacity_pages(

@@ -1,9 +1,10 @@
 //! Storage-backend conformance: the [`rsj_storage::NodeAccess`]
 //! implementations — the in-memory [`BufferPool`], a single-handle
-//! [`SharedBufferPool`], the persistent [`FileNodeAccess`], the
-//! hint-driven [`PrefetchingFileAccess`], and the [`ShardedFileAccess`]
-//! over subtree-partitioned page files — must be interchangeable under
-//! every join algorithm.
+//! [`SharedBufferPool`], and the persistent [`FileNodeAccess`] over
+//! single page files and over subtree-partitioned ones
+//! ([`ShardedFileAccess`]) — must be interchangeable under every join
+//! algorithm. (The shared page cache has its own suite,
+//! `tests/warm_cache.rs`.)
 //!
 //! For SJ1–SJ5 on presets A and B the suite asserts, at the same LRU
 //! capacity and from a cold start:
@@ -17,15 +18,16 @@
 //!   sharded LRU splits its capacity and legitimately evicts differently.
 //!
 //! The file backend is additionally checked for honesty (every reported
-//! disk access is a real page read) and warm-cache behavior (a second run
+//! disk access is a real page read), warm-cache behavior (a second run
 //! without a reset does fewer disk accesses; a reset restores the cold
-//! counts exactly).
+//! counts exactly) and typed read failure (a page that cannot be read
+//! stops the cursor with an error, never a panic).
 
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, PrefetchConfig,
-    PrefetchingFileAccess, ShardedFileAccess, SharedBufferPool, TempDir,
+    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, ShardedFileAccess, SharedBufferPool,
+    StorageError, TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -126,21 +128,6 @@ impl Fixture {
         ];
         FileNodeAccess::with_capacity_pages(files, cap_pages, &self.heights(), EvictionPolicy::Lru)
             .unwrap()
-    }
-
-    fn prefetch_access(&self) -> PrefetchingFileAccess {
-        let files = vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ];
-        PrefetchingFileAccess::with_capacity_pages(
-            files,
-            CAP_PAGES,
-            &self.heights(),
-            EvictionPolicy::Lru,
-            PrefetchConfig::default(),
-        )
-        .unwrap()
     }
 
     fn sharded_access(&self) -> ShardedFileAccess {
@@ -351,69 +338,6 @@ fn parallel_and_multiway_run_over_the_file_backend() {
 }
 
 #[test]
-fn prefetch_backend_agrees_on_pairs_and_disk_accesses() {
-    // The prefetching backend must be a drop-in replacement: identical
-    // pair multisets and identical IoStats to the in-memory BufferPool
-    // for SJ1–SJ5 on both presets — prefetching changes when the physical
-    // read happens, never what is charged.
-    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
-        for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
-
-            let (pairs, io, access) = run(&fx.r_file, &fx.s_file, plan, fx.prefetch_access());
-            assert_eq!(pairs, want_pairs, "{label}: prefetch pairs");
-            assert_eq!(io, want_io, "{label}: prefetch I/O");
-            // Honesty: every charged miss was served exactly once, either
-            // by a consumed prefetch or by a synchronous demand read.
-            assert_eq!(
-                access.demand_reads() + access.prefetch_hits(),
-                io.disk_accesses,
-                "{label}: miss service split"
-            );
-            // And once the completion queue drains, the physical read
-            // tally covers at least the misses (prefetch over-reads
-            // beyond the window are legal, phantom *charges* are not).
-            access.drain_completions();
-            assert!(access.file_reads() >= io.disk_accesses, "{label}");
-        }
-    }
-}
-
-#[test]
-fn prefetch_backend_cold_warm_and_reset() {
-    let fx = Fixture::new(TestId::A, 0.003);
-    let plan = JoinPlan::sj4();
-    let mut access = fx.prefetch_access();
-
-    let (cold_pairs, cold_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
-    access = a;
-    assert!(cold_io.disk_accesses > 0, "cold start must hit the files");
-
-    let (warm_pairs, warm_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
-    access = a;
-    assert_eq!(warm_pairs, cold_pairs);
-    assert!(
-        warm_io.disk_accesses < cold_io.disk_accesses,
-        "warm run reuses the buffer"
-    );
-
-    access.reset();
-    let (reset_pairs, reset_io, access) = run(&fx.r_file, &fx.s_file, plan, access);
-    assert_eq!(reset_pairs, cold_pairs);
-    assert_eq!(
-        reset_io, cold_io,
-        "a reset backend must replay the cold run"
-    );
-    assert_eq!(
-        access.demand_reads() + access.prefetch_hits(),
-        reset_io.disk_accesses
-    );
-}
-
-#[test]
 fn sharded_backend_agrees_on_pairs_and_disk_accesses() {
     // Sharding redistributes pages over physical files but preserves the
     // global page-id space, so traversal — and with it every buffer
@@ -483,4 +407,50 @@ fn sharded_parallel_workers_read_disjoint_subtree_files() {
         par.stats.io.disk_accesses, seq.stats.io.disk_accesses,
         "sharded file-backed shared-nothing matches in-memory shared-nothing I/O"
     );
+}
+
+/// Cuts a page file back to its header: every page read then fails.
+fn truncate_to_header(path: &std::path::Path) {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_len(rsj_storage::codec::HEADER_BYTES as u64)
+        .unwrap();
+}
+
+/// Runs SJ4 to the end and returns the pairs yielded and the failure
+/// that stopped the cursor.
+fn join_until_failure<A: NodeAccess>(r: &RTree, s: &RTree, access: A) -> (usize, StorageError) {
+    let mut cursor = rsj_core::exec::JoinCursor::new(r, s, JoinPlan::sj4(), access);
+    let pairs = (&mut cursor).count();
+    let err = cursor
+        .take_error()
+        .expect("a failed read must stop the cursor");
+    (pairs, err)
+}
+
+#[test]
+fn file_backend_read_failure_is_a_typed_cursor_error_over_single_and_sharded_files() {
+    // The backend opens fine; R's file then loses every page under it.
+    // The blocking file backend keeps the failed read and the cursor —
+    // which holds the in-memory trees — stops with it, typed, instead of
+    // panicking or joining the tree the pages no longer back.
+    let fx = Fixture::new(TestId::A, 0.003);
+    let access = fx.file_access();
+    truncate_to_header(&fx.r_path);
+    let (pairs, err) = join_until_failure(&fx.r_file, &fx.s_file, access);
+    assert_eq!(pairs, 0, "the R root never read");
+    assert!(matches!(err, StorageError::Io(_)), "{err}");
+
+    // Same over the sharded layout: every shard file of R truncated.
+    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
+    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
+    let access = fx.sharded_access();
+    for i in 0..SHARDS {
+        truncate_to_header(&access.file(0).shard_file_path(i));
+    }
+    let (pairs, err) = join_until_failure(&r_back, &s_back, access);
+    assert_eq!(pairs, 0, "the sharded R root never read");
+    assert!(matches!(err, StorageError::Io(_)), "{err}");
 }

@@ -13,8 +13,7 @@
 //!   (`BufferPool`) or comes off the updated file (`FileNodeAccess`);
 //! * free-list reuse really happens (deletions release pages, insertions
 //!   reuse them, the file does not grow monotonically);
-//! * the `prefetch` and `sharded` backends conformance-match on the
-//!   updated files too;
+//! * the `sharded` backend conformance-matches on the updated files too;
 //! * the sharded migration policy holds: pages stay in their birth shard,
 //!   the manifest stays authoritative, fresh pages fall to the partition
 //!   fallback — and none of it moves a single accounting number.
@@ -269,45 +268,6 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
 }
 
 #[test]
-fn prefetch_backend_conformance_on_updated_files() {
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-prefetch").unwrap();
-    let (rp, sp) = (dir.file("r.rsj"), dir.file("s.rsj"));
-    r0.save_to(&rp).unwrap();
-    s0.save_to(&sp).unwrap();
-    let script = update_script(&data.r, 200, 23);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenFileTree::open(&rp, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-
-    let r_file = RTree::open_from(&rp).unwrap();
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
-    for (plan, name) in [(JoinPlan::sj3(), "SJ3"), (JoinPlan::sj4(), "SJ4")] {
-        let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-        let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-        let access = PrefetchingFileAccess::with_capacity_pages(
-            vec![PageFile::open(&rp).unwrap(), PageFile::open(&sp).unwrap()],
-            CAP_PAGES,
-            &heights,
-            EvictionPolicy::Lru,
-            PrefetchConfig::default(),
-        )
-        .unwrap();
-        let (pairs, io, access) = run(&r_file, &s0, plan, access);
-        assert_eq!(pairs, want_pairs, "{name}: prefetch pairs on updated file");
-        assert_eq!(io, want_io, "{name}: prefetch IoStats on updated file");
-        assert_eq!(
-            access.demand_reads() + access.prefetch_hits(),
-            io.disk_accesses,
-            "{name}: miss service split"
-        );
-    }
-}
-
-#[test]
 fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
     let data = rsj::datagen::preset(TestId::A, 0.003);
     let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
@@ -378,62 +338,6 @@ fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
         let real = access.file(0).reads() + access.file(1).reads();
         assert_eq!(real, io.disk_accesses, "{name}: honest reads");
     }
-}
-
-#[test]
-fn parallel_shard_readers_conformance_on_updated_files() {
-    // The per-shard reader pool is a pure I/O-overlap optimization: same
-    // pairs, same IoStats, every miss served exactly once — on updated
-    // files too.
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-parshard").unwrap();
-    let (rb, sb) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-    r0.save_sharded_to(&rb, SHARDS).unwrap();
-    s0.save_sharded_to(&sb, SHARDS).unwrap();
-    let script = update_script(&data.r, 200, 57);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenShardedTree::open_sharded(&rb, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-    let r_file = RTree::open_sharded_from(&rb).unwrap();
-
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
-    // SJ4 hints drain tails after each pin — the schedule the readers eat.
-    let plan = JoinPlan::sj4();
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-    let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-    let access = ShardedFileAccess::with_parallel_readers(
-        vec![
-            ShardedPageFile::open(&rb).unwrap(),
-            ShardedPageFile::open(&sb).unwrap(),
-        ],
-        CAP_PAGES,
-        &heights,
-        EvictionPolicy::Lru,
-        ShardReaderConfig::default(),
-    )
-    .unwrap();
-    let (pairs, io, access) = run(&r_file, &s0, plan, access);
-    assert_eq!(pairs, want_pairs, "parallel-reader pairs");
-    assert_eq!(io, want_io, "parallel-reader IoStats");
-    assert_eq!(
-        access.staged_hits() + access.demand_reads(),
-        io.disk_accesses,
-        "every miss served exactly once"
-    );
-    let physical: u64 = (0..2u8)
-        .map(|st| {
-            (0..SHARDS)
-                .map(|sh| access.shard_reads_total(st, sh))
-                .sum::<u64>()
-        })
-        .sum();
-    assert!(
-        physical >= io.disk_accesses,
-        "per-spindle reads cover misses"
-    );
 }
 
 #[test]

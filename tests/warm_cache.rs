@@ -365,14 +365,96 @@ fn pinning_plans_survive_a_tiny_shared_pool() {
     }
 }
 
+/// Whatever order the queue completes reads in, the oracle's answer
+/// must not move: a single cold handle joining from the roots (read-ahead
+/// on, every plan) and the shared-cache parallel join over `workers`
+/// handles (SJ2) must emit the oracle's pair multisets and bit-identical
+/// stats, and the physical reads stay bounded by the charged misses.
+fn check_completion_order(fx: &Fixture, delay: DelayFn, workers: usize, label: &str) {
+    // A single cold handle over a pool of its own budget plus the path
+    // depth plus the read-ahead window: read-ahead never crowds out a
+    // frame the join still needs.
+    let depth = *fx.heights().iter().max().unwrap();
+    let window = 2 * 2 * CacheConfig::default().workers_per_lane;
+    for (plan, name) in plans() {
+        let tag = format!("{label}/{name}: single cold handle");
+        let oracle = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+        let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, oracle);
+        let cache = fx.cache_sharded(CAP_PAGES + depth + window, 1, 1, Some(delay.clone()));
+        let (pairs, stats, _) = join_from_pages(fx, plan, cache.handle(CAP_PAGES));
+        assert_eq!(sorted_ids(&pairs), sorted_ids(&want.pairs), "{tag}: pairs");
+        assert_eq!(stats, want.stats, "{tag}: JoinStats");
+        cache.drain();
+        assert!(
+            cache.physical_reads() <= stats.io.disk_accesses,
+            "{tag}: {} physical reads above {} charged misses",
+            cache.physical_reads(),
+            stats.io.disk_accesses
+        );
+    }
+
+    let plan = JoinPlan::sj2();
+    let cap = (CAP_PAGES / workers).max(1);
+    let oracle =
+        parallel_spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, workers, |_w| {
+            BufferPool::with_capacity_pages(cap, &fx.heights())
+        });
+    let cache = fx.cache(CAP_PAGES, workers, Some(delay));
+    let par = parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
+    let tag = format!("{label}: {workers}-worker parallel join");
+    assert_eq!(
+        sorted_ids(&par.pairs),
+        sorted_ids(&oracle.pairs),
+        "{tag}: pairs"
+    );
+    assert_eq!(par.stats.io, oracle.stats.io, "{tag}: merged IoStats");
+    cache.drain();
+    // With a small shared pool the dedup margin is timing-dependent, but
+    // the bound never is: a physical read only ever happens on some
+    // worker's charged miss (merge_results adds 2 coordinator charges).
+    assert!(
+        cache.physical_reads() <= par.stats.io.disk_accesses - 2,
+        "{tag}: physical reads above the charged misses"
+    );
+    assert_eq!(
+        cache.physical_reads(),
+        cache.queue().total_reads(),
+        "{tag}: read-honesty closure"
+    );
+}
+
+/// Reversed completion order: early-submitted pages (roots live at the
+/// low page ids) wait the longest, so completions arrive roughly in the
+/// opposite of submission order.
+#[test]
+fn cache_survives_reversed_completion_order() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let delay: DelayFn = Arc::new(|key: BufKey| {
+        let inverted = 512u64.saturating_sub(u64::from(key.page.0));
+        Some(Duration::from_micros(inverted * 4))
+    });
+    check_completion_order(&fx, delay, 4, "reversed");
+}
+
+/// Single-page starvation: the root of store 0 — read on the very first
+/// charge — completes ~20 ms after everything else. The cursor must park
+/// on it and still emit bit-identical results.
+#[test]
+fn cache_survives_one_page_starvation() {
+    let fx = Fixture::new(TestId::B, 0.003);
+    let starved = BufKey::new(0, fx.r_file.root());
+    let delay: DelayFn =
+        Arc::new(move |key: BufKey| (key == starved).then(|| Duration::from_millis(20)));
+    check_completion_order(&fx, delay, 2, "starved");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random per-page completion latency (a keyed hash of the page id,
-    /// seeded per case): whatever order the queue completes reads in,
-    /// the shared-cache parallel join must emit the oracle's pair
-    /// multiset and bit-identical merged IoStats, and the physical
-    /// dedup invariant must hold.
+    /// seeded per case): any interleaving of completions the scheduler
+    /// can produce must leave the single-handle and parallel joins
+    /// bit-identical to the oracle.
     #[test]
     fn cache_survives_random_completion_orders(
         which in 0usize..2,
@@ -382,30 +464,13 @@ proptest! {
     ) {
         let test = if which == 0 { TestId::A } else { TestId::B };
         let fx = Fixture::new(test, 0.003);
-        let plan = JoinPlan::sj2();
         let delay: DelayFn = Arc::new(move |key: BufKey| {
             let mut h = (u64::from(key.page.0) << 8 | u64::from(key.store)) ^ seed;
             h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             h ^= h >> 29;
             Some(Duration::from_micros(h % span_us))
         });
-        let cap = (CAP_PAGES / workers).max(1);
-        let oracle = parallel_spatial_join_with_access(
-            &fx.r_file, &fx.s_file, plan, true, workers,
-            |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),
-        );
-        let cache = fx.cache(CAP_PAGES, workers, Some(delay));
-        let par = parallel_spatial_join_warm(
-            &fx.r_file, &fx.s_file, plan, true, workers, &cache, cap,
-        );
-        prop_assert_eq!(sorted_ids(&par.pairs), sorted_ids(&oracle.pairs));
-        prop_assert_eq!(par.stats.io, oracle.stats.io);
-        cache.drain();
-        // With a small shared pool the dedup margin is timing-dependent,
-        // but the bound never is: a physical read only ever happens on
-        // some worker's charged miss.
-        prop_assert!(cache.physical_reads() <= par.stats.io.disk_accesses - 2);
-        prop_assert_eq!(cache.physical_reads(), cache.queue().total_reads());
+        check_completion_order(&fx, delay, workers, &format!("random/{test:?}/{seed}"));
     }
 }
 
