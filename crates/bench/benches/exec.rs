@@ -344,9 +344,8 @@ fn measure_overlap(
     let paths = [rp.clone(), sp.clone()];
     let buffer_pages = cfg.buffer_bytes / PAGE;
     // One handle's budget, plus the path depths, plus the read-ahead
-    // window (2 × the queue's readers): read-ahead never crowds out a
-    // frame the join still needs.
-    let window = 2 * paths.len() * CacheConfig::default().workers_per_lane;
+    // window: read-ahead never crowds out a frame the join still needs.
+    let window = CacheConfig::default().read_ahead_window(paths.len());
     let pool_pages = buffer_pages + heights.iter().sum::<usize>() + window;
     // Queue readers open their own page-file handles here, so a cache
     // opened after the latency is injected pays it on every read.

@@ -91,6 +91,12 @@ pub fn spatial_join_metered<M: Meter>(
 /// state (file read counters, LRU contents for a warm re-run) stays
 /// inspectable. I/O in `stats` is reported relative to the accountant's
 /// tallies at entry, like [`JoinCursor::stats`].
+///
+/// # Panics
+///
+/// If a page fails to read or decode: the join would be short, and this
+/// entry point has no error channel. Drive a [`JoinCursor`] and check
+/// [`JoinCursor::error`] to get the failure as a value.
 pub fn spatial_join_with_access<A: rsj_storage::NodeAccess>(
     r: &RTree,
     s: &RTree,
@@ -147,8 +153,47 @@ fn drain_keep<A: rsj_storage::NodeAccess, M: Meter>(
     } else {
         for _ in &mut cursor {}
     }
+    fail_stop(&mut cursor);
     let stats = cursor.stats();
     (JoinResult { stats, pairs }, cursor.into_access())
+}
+
+/// Raises the storage failure that stopped `cursor`, if one did. The
+/// drivers that return a plain [`JoinResult`] have no error channel, and
+/// a cursor stopped by a failed page read has yielded only part of the
+/// join: that must not pass for a complete result. Callers that want the
+/// typed error drive a [`JoinCursor`] and ask [`JoinCursor::error`].
+///
+/// # Panics
+///
+/// If the cursor stopped on a [`rsj_storage::StorageError`].
+pub(crate) fn fail_stop<A: rsj_storage::NodeAccess, M: Meter>(cursor: &mut JoinCursor<'_, A, M>) {
+    if let Some(e) = cursor.take_error() {
+        panic!("join stopped on a storage failure: {e}");
+    }
+}
+
+/// [`rsj_storage::NodeAccess::access`] for walks that take their nodes
+/// from an in-memory tree and never ask the backend for one (the
+/// multi-way probe stages): a read the backend reports failed would
+/// otherwise go unseen.
+///
+/// # Panics
+///
+/// If the backend reports the page as [`rsj_storage::PageNode::Failed`].
+pub(crate) fn charge_checked<A: rsj_storage::NodeAccess>(
+    access: &mut A,
+    store: u8,
+    page: rsj_storage::PageId,
+    depth: usize,
+) -> bool {
+    let miss = access.access(store, page, depth);
+    if miss {
+        if let rsj_storage::PageNode::Failed(e) = access.page_node(store, page) {
+            panic!("page read failed: {e}");
+        }
+    }
+    miss
 }
 
 #[cfg(test)]

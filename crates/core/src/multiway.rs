@@ -90,6 +90,11 @@ fn multiway_join_metered<M: Meter>(
 /// [`rsj_storage::SharedCacheFileAccess`] handle) receives its
 /// read-schedule hints; the probe stages traverse on demand and emit
 /// none.
+///
+/// # Panics
+///
+/// If a page fails to read or decode in any stage: the result would be
+/// short, and this entry point has no error channel.
 pub fn multiway_join_with_access<A, F>(
     trees: &[&RTree],
     plan: JoinPlan,
@@ -144,6 +149,7 @@ where
             .expect("binary join produced a disjoint pair");
         tuples.push((vec![a, b], rect));
     }
+    crate::join::fail_stop(&mut cursor);
     let stage1 = cursor.stats();
     let mut comparisons = stage1.total_comparisons();
     let mut io = stage1.io;
@@ -165,7 +171,7 @@ where
                 &windows,
                 &mut cmp,
                 &mut |pg, lvl| {
-                    pool.access(0, pg, tree.depth_of_level(lvl));
+                    crate::join::charge_checked(&mut pool, 0, pg, tree.depth_of_level(lvl));
                 },
                 &mut hits,
             );

@@ -203,6 +203,11 @@ fn parallel_join_metered<M: Meter>(
 ///
 /// Falls back to a sequential join over `make_access(0)` when `workers <=
 /// 1` or a root is a leaf.
+///
+/// # Panics
+///
+/// If a page fails to read or decode in any worker, like
+/// [`crate::join::spatial_join_with_access`].
 pub fn parallel_spatial_join_with_access<A, F>(
     r: &RTree,
     s: &RTree,
@@ -427,6 +432,7 @@ fn shared_buffer<M: Meter>(
                         } else {
                             for _ in &mut cursor {}
                         }
+                        crate::join::fail_stop(&mut cursor);
                         let stats = cursor.stats();
                         cmp_total += stats.join_comparisons;
                         sort_total += stats.sort_comparisons;

@@ -40,7 +40,7 @@
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
 use rsj_storage::{
-    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, ShardedFileAccess,
+    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, PageNode, ShardedFileAccess,
     ShardedPageFile, SharedCacheFileAccess, SharedPageCache, UpdateBackend, WritablePageFile,
 };
 use std::path::Path;
@@ -294,12 +294,17 @@ impl<B: UpdateBackend> OpenTree<B> {
                     // node's current level gives its depth in the current
                     // tree (a page freed later in this batch reads as a
                     // cleared leaf — harmless, its dirty state dies with
-                    // the Freed event).
+                    // the Freed event). A read that failed stops the
+                    // replay, like a failed write would.
                     let depth = self
                         .tree
                         .depth_of_level(self.tree.node(p).level)
                         .min(MAX_HEIGHT - 1);
-                    self.access.access(self.store, p, depth);
+                    if self.access.access(self.store, p, depth) {
+                        if let PageNode::Failed(e) = self.access.page_node(self.store, p) {
+                            return Err(e);
+                        }
+                    }
                     codec::encode_node_fmt(
                         &to_disk(self.tree.node(p)),
                         self.slot,
@@ -463,6 +468,23 @@ mod tests {
         let back = RTree::open_from(&path).unwrap();
         back.validate().unwrap();
         assert_page_identical(&back, &oracle);
+    }
+
+    #[test]
+    fn a_failed_read_stops_the_update_with_a_typed_error() {
+        let dir = TempDir::new("open-tree").unwrap();
+        let path = dir.file("t.rsj");
+        build(200).save_to(&path).unwrap();
+        let mut open = OpenFileTree::open(&path, 16).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(codec::HEADER_BYTES as u64)
+            .unwrap();
+        let err = open.insert(rect_for(7), DataId(1000)).unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "{err}");
+        assert!(open.is_poisoned());
     }
 
     #[test]

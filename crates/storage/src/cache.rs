@@ -182,6 +182,17 @@ impl Default for CacheConfig {
     }
 }
 
+impl CacheConfig {
+    /// Frames one cold handle keeps reading ahead of its join over
+    /// `stores` page files: twice the queue's readers, so every reader
+    /// has a next page queued while it serves the current one. A pool of
+    /// the handle's pages, plus the trees' path depths, plus this window
+    /// never has read-ahead crowd out a frame the join still needs.
+    pub fn read_ahead_window(&self, stores: usize) -> usize {
+        2 * stores * self.workers_per_lane.max(1)
+    }
+}
+
 impl fmt::Debug for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheConfig")
@@ -261,6 +272,9 @@ pub struct SharedPageCache {
     /// Page count of each store, grown by writes past the end: every
     /// decoded directory entry's child must lie below it.
     page_counts: Vec<AtomicU32>,
+    /// Frames a cold handle reads ahead of its join
+    /// ([`CacheConfig::read_ahead_window`]).
+    read_ahead_window: usize,
 }
 
 impl fmt::Debug for SharedPageCache {
@@ -321,6 +335,7 @@ impl SharedPageCache {
             .map(|f| AtomicU32::new(f.page_count()))
             .collect();
         drop(files);
+        let read_ahead_window = cfg.read_ahead_window(paths.len());
         let queue = CompletionQueue::open(paths, cfg.workers_per_lane, cfg.delay)?;
         let n = if cfg.shards > 0 {
             cfg.shards
@@ -359,6 +374,7 @@ impl SharedPageCache {
             paths: paths.to_vec(),
             formats,
             page_counts,
+            read_ahead_window,
         }))
     }
 
@@ -383,7 +399,7 @@ impl SharedPageCache {
             ahead: HashMap::new(),
             schedule: Vec::new(),
             next: 0,
-            window: 2 * self.queue.readers(),
+            window: self.read_ahead_window,
             pins: Vec::new(),
         }
     }

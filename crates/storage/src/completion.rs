@@ -197,12 +197,6 @@ impl CompletionQueue {
             .take_page(ticket.0)
     }
 
-    /// Reader threads across all lanes.
-    #[inline]
-    pub(crate) fn readers(&self) -> usize {
-        self.core.workers.len()
-    }
-
     /// Polls a ticket. Lock-free when the completion frontier has already
     /// passed it.
     pub fn is_complete(&self, ticket: Ticket) -> bool {

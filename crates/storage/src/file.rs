@@ -773,6 +773,11 @@ impl<F: WritablePageFile> NodeAccess for FileNodeAccess<F> {
 
 impl<F: WritablePageFile> NodeAccessMut for FileNodeAccess<F> {
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
+        // The page's contents are now the payload: a failed earlier read
+        // of it no longer stands.
+        if !self.failed.is_empty() {
+            self.failed.remove(&BufKey::new(store, page));
+        }
         let files = &mut self.files;
         self.dirty
             .stash(
@@ -967,8 +972,15 @@ mod tests {
             matches!(acc.page_node(0, PageId(1)), PageNode::Failed(_)),
             "the page stays failed"
         );
+        assert!(acc.access(0, PageId(2), 0));
+        acc.write(0, PageId(1), &node_payload(7, codec::slot_bytes_for(2)));
+        assert!(
+            matches!(acc.page_node(0, PageId(1)), PageNode::InMemory),
+            "a write supersedes the failed read"
+        );
+        assert!(matches!(acc.page_node(0, PageId(2)), PageNode::Failed(_)));
         acc.reset();
-        assert!(matches!(acc.page_node(0, PageId(1)), PageNode::InMemory));
+        assert!(matches!(acc.page_node(0, PageId(2)), PageNode::InMemory));
     }
 
     #[test]

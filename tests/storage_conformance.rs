@@ -21,7 +21,9 @@
 //! disk access is a real page read), warm-cache behavior (a second run
 //! without a reset does fewer disk accesses; a reset restores the cold
 //! counts exactly) and typed read failure (a page that cannot be read
-//! stops the cursor with an error, never a panic).
+//! stops the cursor with an error, never a panic; the drivers that
+//! return a plain result panic with it instead of returning a short
+//! one).
 
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
@@ -417,6 +419,98 @@ fn truncate_to_header(path: &std::path::Path) {
         .unwrap()
         .set_len(rsj_storage::codec::HEADER_BYTES as u64)
         .unwrap();
+}
+
+/// The message `f` panicked with, or `None` if it returned.
+fn panic_message<T>(f: impl FnOnce() -> T) -> Option<String> {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    Some(match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .map(|m| m.to_string())
+            .unwrap_or_default(),
+    })
+}
+
+#[test]
+fn file_backend_read_failure_panics_the_result_returning_drivers() {
+    // The drivers that hand back a plain result have no error channel: a
+    // failed read must not come back as an ordinary-looking short result.
+    let fx = Fixture::new(TestId::A, 0.003);
+    let plan = JoinPlan::sj4();
+    let full = run(&fx.r_file, &fx.s_file, plan, fx.file_access()).0;
+    assert!(!full.is_empty());
+    let workers = 2;
+    let seq = fx.file_access();
+    let sharded = fx.sharded_access();
+    let per_worker: Vec<_> = (0..workers)
+        .map(|_| std::sync::Mutex::new(Some(fx.file_access())))
+        .collect();
+    // Stage 0 joins S with itself; the probe stage reads R.
+    let stage0 = FileNodeAccess::with_capacity_pages(
+        vec![
+            PageFile::open(&fx.s_path).unwrap(),
+            PageFile::open(&fx.s_path).unwrap(),
+        ],
+        CAP_PAGES,
+        &[fx.s.height() as usize; 2],
+        EvictionPolicy::Lru,
+    )
+    .unwrap();
+    let probe = FileNodeAccess::with_capacity_pages(
+        vec![PageFile::open(&fx.r_path).unwrap()],
+        CAP_PAGES,
+        &[fx.r.height() as usize],
+        EvictionPolicy::Lru,
+    )
+    .unwrap();
+    let mut stages = [Some(stage0), Some(probe)];
+    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
+    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
+    truncate_to_header(&fx.r_path);
+    for i in 0..SHARDS {
+        truncate_to_header(&sharded.file(0).shard_file_path(i));
+    }
+
+    let storage_failure = |msg: Option<String>, what: &str| {
+        let msg = msg.unwrap_or_else(|| panic!("{what}: returned a result"));
+        assert!(msg.contains("storage failure"), "{what}: {msg}");
+    };
+    storage_failure(
+        panic_message(|| spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, seq)),
+        "sequential join over a truncated file",
+    );
+    storage_failure(
+        panic_message(|| spatial_join_with_access(&r_back, &s_back, plan, true, sharded)),
+        "sequential join over truncated shard files",
+    );
+    // A worker's failure reaches the caller as the worker's panic.
+    let msg = panic_message(|| {
+        rsj_core::parallel_spatial_join_with_access(
+            &fx.r_file,
+            &fx.s_file,
+            plan,
+            true,
+            workers,
+            |w| per_worker[w].lock().unwrap().take().unwrap(),
+        )
+    });
+    assert!(
+        msg.as_deref()
+            .is_some_and(|m| m.contains("worker panicked")),
+        "parallel join over a truncated file: {msg:?}"
+    );
+    let msg = panic_message(|| {
+        rsj_core::multiway_join_with_access(&[&fx.s_file, &fx.s_file, &fx.r_file], plan, |k| {
+            stages[k].take().unwrap()
+        })
+    });
+    assert!(
+        msg.as_deref()
+            .is_some_and(|m| m.contains("page read failed")),
+        "multi-way probe stage over a truncated file: {msg:?}"
+    );
 }
 
 /// Runs SJ4 to the end and returns the pairs yielded and the failure

@@ -220,7 +220,7 @@ fn read_ahead_reads_only_what_the_join_charges() {
 
         let workers = 4;
         let depth = *fx.heights().iter().max().unwrap();
-        let window = 2 * 2 * CacheConfig::default().workers_per_lane;
+        let window = CacheConfig::default().read_ahead_window(2);
         let cache = fx.cache_sharded(CAP_PAGES + depth + window, workers, 1, delay());
         let oracle = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
         let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, oracle);
@@ -375,7 +375,7 @@ fn check_completion_order(fx: &Fixture, delay: DelayFn, workers: usize, label: &
     // depth plus the read-ahead window: read-ahead never crowds out a
     // frame the join still needs.
     let depth = *fx.heights().iter().max().unwrap();
-    let window = 2 * 2 * CacheConfig::default().workers_per_lane;
+    let window = CacheConfig::default().read_ahead_window(2);
     for (plan, name) in plans() {
         let tag = format!("{label}/{name}: single cold handle");
         let oracle = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
