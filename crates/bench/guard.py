@@ -47,7 +47,8 @@ Clauses:
    count at no more disk accesses (both counts are deterministic);
 9. the serving telemetry earns its keep without costing the engine: the
    instrumented cold SJ2 through the JoinService runs >= 0.95x the same
-   query path with recording compiled out, warm service requests perform
+   query path with recording compiled out (the median of the ratios of
+   interleaved back-to-back query pairs), warm service requests perform
    zero physical reads at hit ratio 1.0, the open-loop target-QPS run
    stays fully warm and rejects nothing at half capacity, and the
    overload probe's typed rejections confirm admission never blocks an

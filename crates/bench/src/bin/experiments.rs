@@ -6,6 +6,9 @@
 //!              figure10 | extensions]
 //! ```
 //!
+//! An unknown target or flag, or a scale outside (0, 1], prints the usage
+//! and exits with status 2 before anything runs.
+//!
 //! `--scale 1.0` reproduces the paper's cardinalities (131k–599k objects per
 //! relation); the default of 0.1 runs the whole suite in well under a
 //! minute on a laptop while preserving object density (the generators
@@ -19,6 +22,24 @@ use std::io::Write;
 
 const DEFAULT_SCALE: f64 = 0.1;
 
+/// Every target the command line accepts.
+const TARGETS: [&str; 14] = [
+    "all",
+    "table1",
+    "table2",
+    "figure2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "figure8",
+    "figure9",
+    "table8",
+    "figure10",
+    "extensions",
+];
+
 fn main() {
     let mut scale = DEFAULT_SCALE;
     let mut targets: Vec<String> = Vec::new();
@@ -31,10 +52,16 @@ fn main() {
                     .unwrap_or_else(|| usage("missing value after --scale"));
                 scale = v
                     .parse()
-                    .unwrap_or_else(|_| usage("--scale expects a float in (0, 1]"));
+                    .ok()
+                    .filter(|s: &f64| *s > 0.0 && *s <= 1.0)
+                    .unwrap_or_else(|| {
+                        usage(&format!("--scale expects a float in (0, 1], got {v}"))
+                    });
             }
             "--help" | "-h" => usage(""),
-            other => targets.push(other.to_string()),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag {flag}")),
+            target if TARGETS.contains(&target) => targets.push(target.to_string()),
+            other => usage(&format!("unknown target {other}")),
         }
     }
     if targets.is_empty() {
@@ -129,9 +156,6 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
-    eprintln!(
-        "usage: experiments [--scale S] [all | table1 | table2 | figure2 | table3 | table4 \
-         | table5 | table6 | table7 | figure8 | figure9 | table8 | figure10 | extensions]"
-    );
+    eprintln!("usage: experiments [--scale S] [{}]", TARGETS.join(" | "));
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -11,9 +11,9 @@
 //! The cursor is generic over two pluggable layers:
 //!
 //! * [`NodeAccess`] — the page-access boundary: sequential joins plug in a
-//!   private [`rsj_storage::BufferPool`], shared-buffer parallel workers a
-//!   [`rsj_storage::SharedBufferHandle`], and `&mut A` works for reusing
-//!   one accountant across many cursors. A backend that reads real pages
+//!   private [`rsj_storage::BufferPool`], parallel workers sharing one
+//!   page cache a [`rsj_storage::SharedCacheFileAccess`] handle, and
+//!   `&mut A` works for reusing one accountant across many cursors. A backend that reads real pages
 //!   may also hand over their decoded nodes ([`NodeAccess::page_node`]):
 //!   a cursor opened from the trees' roots alone
 //!   ([`JoinCursor::from_roots`]) joins those, so no in-memory tree is
@@ -534,7 +534,7 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     charge_tasks: bool,
     /// The accountant's tallies at cursor construction: [`JoinCursor::stats`]
     /// reports the delta, so a borrowed accountant reused across cursors
-    /// (e.g. a worker's `&mut SharedBufferHandle`) is not double-counted.
+    /// (e.g. a warm `&mut FileNodeAccess`) is not double-counted.
     io_baseline: IoStats,
     /// Times the cursor blocked on an in-flight read — cumulative over
     /// the cursor's life. Telemetry only: deliberately *not* part of

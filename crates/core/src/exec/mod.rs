@@ -6,9 +6,10 @@
 //! * [`JoinCursor`] — the production executor. An explicit-work-stack
 //!   state machine that yields result pairs incrementally and charges all
 //!   I/O through [`rsj_storage::NodeAccess`], so the same engine serves
-//!   sequential joins (private [`rsj_storage::BufferPool`]), shared-buffer
-//!   parallel workers ([`rsj_storage::SharedBufferHandle`]), and any
-//!   future backend that can account a page access.
+//!   sequential joins (private [`rsj_storage::BufferPool`]), file-backed
+//!   joins ([`rsj_storage::FileNodeAccess`]), parallel workers sharing one
+//!   page cache ([`rsj_storage::SharedCacheFileAccess`]), and any future
+//!   backend that can account a page access.
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential
 //!   tests and the `exec` bench.

@@ -11,20 +11,19 @@
 //!
 //! * [`crate::BufferPool`] — the sequential stack of §4.1 (path buffer →
 //!   LRU → disk), owned by one executor: the accounting oracle;
-//! * [`crate::SharedBufferHandle`] — a per-worker handle onto the sharded,
-//!   lock-based [`crate::SharedBufferPool`], for concurrent workers that
-//!   share one system buffer (each worker keeps private path buffers, as
-//!   each drives its own traversal);
 //! * [`crate::FileNodeAccess`] — the same hierarchy over real page files
 //!   (single or sharded, [`crate::ShardedFileAccess`]), where every miss
 //!   performs an actual, blocking read: the blocking reference;
 //! * [`crate::SharedCacheFileAccess`] — a handle onto the shared frame
 //!   cache over the completion queue, serving decoded nodes and hiding
-//!   read latency by reading ahead: the production backend.
+//!   read latency by reading ahead: the production backend, and the one
+//!   buffer concurrent workers share (each worker keeps private path
+//!   buffers and a private logical LRU, as each drives its own
+//!   traversal).
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
-//! accountant instead of owning it — the shared-buffer parallel join runs
-//! many cursors against one worker handle this way.
+//! accountant instead of owning it and the caller can run several cursors
+//! against one accountant in turn.
 //!
 //! ## Read-schedule hints
 //!

@@ -3,12 +3,11 @@
 //! warm buffer — and, since the write latch landed, so background
 //! updaters can mutate pages *under* that join traffic.
 //!
-//! [`crate::SharedBufferPool`] already models the §6 shared-buffer win
-//! for *in-memory* trees: a page faulted by one worker is a buffer hit
-//! for the next. The file-backed parallel deployments could not say the
-//! same — every worker owned a private LRU over its own file handles, so
-//! the upper-level pages every subtree task touches were physically read
-//! N times, and nothing stayed warm between requests. [`SharedPageCache`]
+//! This is the one buffer parallel workers share (the §6 deployment where
+//! a page faulted by one worker is a buffer hit for the next). Without
+//! it every worker owns a private LRU over its own file handles, so the
+//! upper-level pages every subtree task touches are physically read N
+//! times, and nothing stays warm between requests. [`SharedPageCache`]
 //! closes that gap: one sharded frame table holds the page budget for
 //! the whole deployment, frames carry a state machine, a pin counter and
 //! a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint), and
@@ -114,7 +113,6 @@ use crate::lru::{EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::path::PathBuffer;
 use crate::pool::{BufKey, IoStats};
-use crate::shared::auto_shard_count;
 use crate::writeback::UpdateBackend;
 
 /// Path-buffer height of a store opened for updates: an updatable tree
@@ -128,6 +126,23 @@ const UPDATE_MAX_HEIGHT: usize = 64;
 /// Floor of the node-table sweep thresholds (frame shards and handles):
 /// tables this small are never swept.
 const SWEEP_MIN: usize = 32;
+
+/// Upper bound for [`auto_shard_count`]: past this, extra shards only
+/// fragment the page budget without reducing contention further.
+const MAX_SHARDS: usize = 32;
+
+/// Shard count sized to the deployment: the worker count rounded up to a
+/// power of two (so [`crate::partition`]'s multiplicative hash spreads
+/// evenly), capped at [`MAX_SHARDS`] — and never more shards than the
+/// cache has frames, so small pools do not split into zero-capacity
+/// slices.
+fn auto_shard_count(workers: usize, cap_pages: usize) -> usize {
+    workers
+        .max(1)
+        .next_power_of_two()
+        .min(MAX_SHARDS)
+        .min(cap_pages.max(1))
+}
 
 /// A frame's decoded node, or why its bytes do not decode.
 type FrameNode = Result<Arc<DiskNode>, String>;
@@ -160,8 +175,9 @@ pub enum FrameState {
 /// Configuration of a [`SharedPageCache`].
 #[derive(Clone)]
 pub struct CacheConfig {
-    /// Expected worker fleet size — sizes the shard count via
-    /// [`auto_shard_count`] unless `shards` overrides it.
+    /// Expected worker fleet size — sizes the shard count (the fleet
+    /// rounded up to a power of two, at most 32 and at most the pool's
+    /// frames) unless `shards` overrides it.
     pub workers: usize,
     /// Explicit shard count (0 = auto from `workers` and the capacity).
     pub shards: usize,
@@ -2077,5 +2093,32 @@ mod tests {
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
         let (_, fresh) = c.materialize(0, PageId(2));
         assert!(fresh, "the pool keeps serving after a worker panic");
+    }
+
+    #[test]
+    fn shard_count_tracks_workers_without_degenerate_slices() {
+        // Worker count rounds up to a power of two…
+        assert_eq!(auto_shard_count(1, 1024), 1);
+        assert_eq!(auto_shard_count(3, 1024), 4);
+        assert_eq!(auto_shard_count(6, 1024), 8);
+        // …capped so huge fleets don't fragment the budget…
+        assert_eq!(auto_shard_count(100, 1024), MAX_SHARDS);
+        // …and a small pool never splits below one frame per shard.
+        assert_eq!(auto_shard_count(8, 3), 3);
+        assert_eq!(auto_shard_count(8, 0), 1);
+
+        let dir = TempDir::new("cache").unwrap();
+        let path = demo_file(&dir, "t.rsj", 8);
+        let auto = |workers, cap| {
+            let cfg = CacheConfig {
+                workers,
+                ..CacheConfig::default()
+            };
+            SharedPageCache::open(std::slice::from_ref(&path), cap, &[2], cfg).unwrap()
+        };
+        let c = auto(16, 4);
+        assert_eq!(c.shard_count(), 4, "capacity bounds the shard count");
+        assert_eq!(c.capacity(), 4);
+        assert_eq!(auto(3, 64).shard_count(), 4);
     }
 }

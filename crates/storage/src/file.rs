@@ -5,8 +5,8 @@
 //! go through `seek` + `read_exact`/`write_all` and are counted, so a
 //! cold-opened tree pays genuine file I/O for every buffer miss.
 //!
-//! [`FileNodeAccess`] is the third [`NodeAccess`] backend (after
-//! [`crate::BufferPool`] and [`crate::SharedBufferHandle`]): the same §4.1
+//! [`FileNodeAccess`] is the second [`NodeAccess`] backend (after
+//! [`crate::BufferPool`]): the same §4.1
 //! buffer hierarchy — per-tree path buffer first, then the shared LRU
 //! buffer — but every miss performs an actual page read from the backing
 //! file instead of merely bumping a counter. Given the same LRU capacity

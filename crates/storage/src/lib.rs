@@ -15,12 +15,9 @@
 //!   then LRU, then "disk") and tallies [`IoStats`].
 //! * [`NodeAccess`] — the pluggable page-access interface the join
 //!   executors charge against; implemented by [`BufferPool`] (the
-//!   accounting oracle), [`SharedBufferHandle`], [`FileNodeAccess`] (the
-//!   blocking reference) and [`SharedCacheFileAccess`] (the production
-//!   backend).
-//! * [`SharedBufferPool`] — a sharded, lock-based LRU layer shared by
-//!   concurrent join workers, each holding a [`SharedBufferHandle`] with
-//!   private path buffers and statistics.
+//!   accounting oracle), [`FileNodeAccess`] (the blocking reference) and
+//!   [`SharedCacheFileAccess`] (the production backend, and the one
+//!   buffer concurrent join workers share).
 //! * [`CostModel`] — the paper's linear execution-time estimate: 15 ms
 //!   positioning per access, 5 ms per KByte transferred, 3.9 µs per
 //!   floating-point comparison (§4.1, Figure 2).
@@ -61,8 +58,8 @@
 //!   ([`NodeAccess::page_node`]). Each handle hides read latency one way
 //!   only: it reads ahead along the executor's announced §4.3 schedule
 //!   ([`NodeAccess::hint`]);
-//! * [`partition`] — the one Fibonacci-hash partitioner shared by the
-//!   buffer shards and the subtree partitioner;
+//! * [`partition`](mod@partition) — the one Fibonacci-hash partitioner
+//!   shared by the cache's frame shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -104,7 +101,6 @@ pub mod partition;
 pub mod path;
 pub mod pool;
 pub mod sharded;
-pub mod shared;
 pub mod temp;
 pub mod writeback;
 
@@ -122,6 +118,5 @@ pub use partition::{partition, partition_key};
 pub use path::PathBuffer;
 pub use pool::{BufKey, BufferPool, IoStats};
 pub use sharded::{ShardedFileAccess, ShardedPageFile};
-pub use shared::{auto_shard_count, SharedBufferHandle, SharedBufferPool};
 pub use temp::TempDir;
 pub use writeback::{UpdateBackend, WritablePageFile};

@@ -1,7 +1,7 @@
 //! The one hash partitioner of the storage layer.
 //!
 //! Several components split keyed work across a small number of buckets:
-//! [`crate::SharedBufferPool`] maps buffer keys onto lock shards, and the
+//! [`crate::SharedPageCache`] maps buffer keys onto frame shards, and the
 //! R\*-tree's sharded persistence maps subtree indices (and stray pages)
 //! onto physical page files. Both used to carry their own copy of the
 //! same Fibonacci-hashing trick; this module is the single definition.
@@ -29,7 +29,7 @@ pub fn partition(key: u64, buckets: usize) -> usize {
 }
 
 /// [`partition`] over a buffer key, packing `(store, page)` into the
-/// 64-bit hash input the way the shared buffer pool always has.
+/// 64-bit hash input (store in the high half).
 #[inline]
 pub fn partition_key(key: BufKey, buckets: usize) -> usize {
     partition(

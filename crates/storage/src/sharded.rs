@@ -774,8 +774,8 @@ mod tests {
         ));
     }
 
-    // --- Write path (PR 5): global free chain, birth-shard allocation,
-    // dirty write-back, and the parallel reader pool.
+    // --- Write path: global free chain, birth-shard allocation and
+    // dirty write-back.
 
     #[test]
     fn release_then_allocate_keeps_birth_shard_and_reuses_lifo() {

@@ -13,14 +13,14 @@
 //! * [`storage`] — simulated paged disk, LRU buffer with pinning, path
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
 //!   pluggable [`storage::NodeAccess`] boundary with its backends: the
-//!   private [`storage::BufferPool`] (the accounting oracle), sharded
-//!   [`storage::SharedBufferPool`] handles for concurrent workers, the
+//!   private [`storage::BufferPool`] (the accounting oracle), the
 //!   blocking [`storage::FileNodeAccess`] over real [`storage::PageFile`]s
 //!   (endian-stable binary page format, typed
 //!   [`storage::StorageError`]s) or over trees split across N physical
 //!   files by subtree partition ([`storage::ShardedFileAccess`]), and the
-//!   production [`storage::SharedPageCache`], whose handles read ahead
-//!   along the executor's read schedule — trees saved with
+//!   production [`storage::SharedPageCache`], the one buffer concurrent
+//!   workers share, whose handles read ahead along the executor's read
+//!   schedule — trees saved with
 //!   [`rtree::RTree::save_to`] (or [`rtree::RTree::save_sharded_to`])
 //!   reopen cold via [`rtree::RTree::open_from`] /
 //!   [`rtree::RTree::open_sharded_from`] and join with honest cold/warm
@@ -31,8 +31,8 @@
 //!   updates page for page;
 //! * [`rtree`] — the R\*-tree (plus Guttman baselines and bulk loading);
 //! * [`join`] — the spatial-join algorithms SJ1–SJ5, different-height
-//!   policies, baselines, the parallel (shared-nothing and shared-buffer)
-//!   and multi-way joins, and the ID-/object-join refinement step. The
+//!   policies, baselines, the parallel (private buffers or one shared
+//!   page cache) and multi-way joins, and the ID-/object-join refinement step. The
 //!   engine underneath is the **streaming executor**
 //!   [`join::exec::JoinCursor`], which yields result pairs incrementally
 //!   through `Iterator` and allocates nothing per node pair (its scratch

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::{parallel_spatial_join_fast, parallel_spatial_join_with_mode, ParallelMode};
+use rsj_core::{parallel_spatial_join, parallel_spatial_join_fast};
 
 fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
     let mut t = RTree::new(RTreeParams::for_page_size(page));
@@ -61,24 +61,22 @@ proptest! {
             prop_assert!(counted.stats.join_comparisons > 0);
         }
 
-        // Both parallel deployments, counted and raw, agree with the
-        // sequential counted join.
+        // The parallel join, counted and raw, agrees with the sequential
+        // counted join.
         let want = multiset(&spatial_join(&r, &s, JoinPlan::sj4(), &cfg).pairs);
-        for mode in [ParallelMode::SharedNothing, ParallelMode::SharedBuffer] {
-            let counted_par =
-                parallel_spatial_join_with_mode(&r, &s, JoinPlan::sj4(), &cfg, 4, mode);
-            let raw_par = parallel_spatial_join_fast(&r, &s, JoinPlan::sj4(), &cfg, 4, mode);
-            prop_assert_eq!(
-                multiset(&counted_par.pairs),
-                want.clone(),
-                "{:?} counted parallel {:?}", test, mode
-            );
-            prop_assert_eq!(
-                multiset(&raw_par.pairs),
-                want.clone(),
-                "{:?} raw parallel {:?}", test, mode
-            );
-            prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
-        }
+        let counted_par = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        let raw_par = parallel_spatial_join_fast(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        prop_assert_eq!(
+            multiset(&counted_par.pairs),
+            want.clone(),
+            "{:?} counted parallel", test
+        );
+        prop_assert_eq!(
+            multiset(&raw_par.pairs),
+            want,
+            "{:?} raw parallel", test
+        );
+        prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
+        prop_assert_eq!(raw_par.stats.io, counted_par.stats.io);
     }
 }

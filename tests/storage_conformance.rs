@@ -1,10 +1,9 @@
 //! Storage-backend conformance: the [`rsj_storage::NodeAccess`]
-//! implementations — the in-memory [`BufferPool`], a single-handle
-//! [`SharedBufferPool`], and the persistent [`FileNodeAccess`] over
-//! single page files and over subtree-partitioned ones
-//! ([`ShardedFileAccess`]) — must be interchangeable under every join
-//! algorithm. (The shared page cache has its own suite,
-//! `tests/warm_cache.rs`.)
+//! implementations — the in-memory [`BufferPool`] and the persistent
+//! [`FileNodeAccess`] over single page files and over
+//! subtree-partitioned ones ([`ShardedFileAccess`]) — must be
+//! interchangeable under every join algorithm. (The shared page cache has
+//! its own suite, `tests/warm_cache.rs`.)
 //!
 //! For SJ1–SJ5 on presets A and B the suite asserts, at the same LRU
 //! capacity and from a cold start:
@@ -14,8 +13,7 @@
 //!   trip, so this also covers persistence fidelity);
 //! * identical **`disk_accesses`** (and path/LRU hit counts) — the buffer
 //!   hierarchy is the same §4.1 stack everywhere, only what a miss *does*
-//!   differs. The shared pool runs with a single shard for this check: a
-//!   sharded LRU splits its capacity and legitimately evicts differently.
+//!   differs.
 //!
 //! The file backend is additionally checked for honesty (every reported
 //! disk access is a real page read), warm-cache behavior (a second run
@@ -28,8 +26,8 @@
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, ShardedFileAccess, SharedBufferPool,
-    StorageError, TempDir,
+    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, ShardedFileAccess, StorageError,
+    TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -158,13 +156,6 @@ fn backends_agree_on_pairs_and_disk_accesses() {
             let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
             assert!(!want_pairs.is_empty(), "{label}: fixture must join");
 
-            // Shared pool, one handle, one shard: capacity undivided.
-            let shared =
-                SharedBufferPool::with_shards(CAP_PAGES, &fx.heights(), EvictionPolicy::Lru, 1);
-            let (pairs, io, _) = run(&fx.r, &fx.s, plan, shared.handle());
-            assert_eq!(pairs, want_pairs, "{label}: shared-pool pairs");
-            assert_eq!(io, want_io, "{label}: shared-pool I/O");
-
             // File backend over the reopened trees.
             let (pairs, io, access) = run(&fx.r_file, &fx.s_file, plan, fx.file_access());
             assert_eq!(pairs, want_pairs, "{label}: file-backend pairs");
@@ -174,18 +165,6 @@ fn backends_agree_on_pairs_and_disk_accesses() {
             assert_eq!(real_reads, io.disk_accesses, "{label}: real reads");
         }
     }
-}
-
-#[test]
-fn sharded_shared_pool_agrees_on_pairs() {
-    // With the default shard count the eviction decisions differ, so only
-    // the result multiset (not the exact I/O split) is comparable.
-    let fx = Fixture::new(TestId::A, 0.003);
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-    let (want_pairs, _, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), pool);
-    let shared = SharedBufferPool::with_shards(CAP_PAGES, &fx.heights(), EvictionPolicy::Lru, 8);
-    let (pairs, _, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), shared.handle());
-    assert_eq!(pairs, want_pairs);
 }
 
 #[test]

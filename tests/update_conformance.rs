@@ -10,7 +10,9 @@
 //!   identical** to the in-memory oracle (same page ids, same free list);
 //! * SJ1–SJ5 over the updated trees produce identical pair multisets AND
 //!   identical `IoStats` whether the updated relation lives in memory
-//!   (`BufferPool`) or comes off the updated file (`FileNodeAccess`);
+//!   (`BufferPool`), comes off the updated file (`FileNodeAccess`), or is
+//!   joined from the updated files' roots alone through a
+//!   `SharedPageCache` handle (nodes decoded from the pages it reads);
 //! * free-list reuse really happens (deletions release pages, insertions
 //!   reuse them, the file does not grow monotonically);
 //! * the `sharded` backend conformance-matches on the updated files too;
@@ -19,9 +21,11 @@
 //!   fallback — and none of it moves a single accounting number.
 
 use rsj::prelude::*;
+use rsj_core::exec::JoinCursor;
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    partition, BufferPool, IoStats, NodeAccess, PageId, ShardedPageFile, SharedBufferPool, TempDir,
+    partition, BufferPool, CacheConfig, IoStats, NodeAccess, PageId, ShardedPageFile,
+    SharedPageCache, TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -201,8 +205,22 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
         assert_page_identical(&r_file, &r_oracle, &format!("{test:?}/R"));
         assert_page_identical(&s_file, &s_oracle, &format!("{test:?}/S"));
 
-        // SJ1–SJ5: identical pairs AND identical IoStats, memory vs file.
+        // SJ1–SJ5: identical pairs AND identical IoStats, memory vs file
+        // vs cache. The cache joins from the roots it reads off the
+        // updated files, so no in-memory tree feeds that leg.
         let heights = [r_oracle.height() as usize, s_oracle.height() as usize];
+        let root = |p: &std::path::Path| TreeRoot::load(&mut PageFile::open(p).unwrap()).unwrap();
+        let (r_root, s_root) = (root(&rp), root(&sp));
+        let cache = SharedPageCache::open(
+            &[rp.clone(), sp.clone()],
+            CAP_PAGES,
+            &heights,
+            CacheConfig {
+                shards: 1,
+                ..CacheConfig::default()
+            },
+        )
+        .unwrap();
         for (plan, name) in plans() {
             let label = format!("{test:?}/{name}");
             let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
@@ -223,11 +241,14 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
             let real = access.file(0).reads() + access.file(1).reads();
             assert_eq!(real, io.disk_accesses, "{label}: honest reads");
 
-            // The shared pool agrees too (single shard = undivided LRU).
-            let shared = SharedBufferPool::with_shards(CAP_PAGES, &heights, EvictionPolicy::Lru, 1);
-            let (pairs, io, _) = run(&r_oracle, &s_oracle, plan, shared.handle());
-            assert_eq!(pairs, want_pairs, "{label}: shared pairs");
-            assert_eq!(io, want_io, "{label}: shared IoStats");
+            // A cold cache handle over the updated files agrees too.
+            cache.clear();
+            let mut cursor =
+                JoinCursor::from_roots(&r_root, &s_root, plan, cache.handle(CAP_PAGES));
+            let pairs: Vec<_> = cursor.by_ref().collect();
+            assert!(cursor.error().is_none(), "{label}: {:?}", cursor.error());
+            assert_eq!(sorted_ids(&pairs), want_pairs, "{label}: cache pairs");
+            assert_eq!(cursor.stats().io, want_io, "{label}: cache IoStats");
         }
     }
 }
