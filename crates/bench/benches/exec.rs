@@ -40,7 +40,7 @@ use rsj_rtree::bulk::{self, BulkConfig, BulkLayout};
 use rsj_rtree::{DataId, OpenCachedTree, OpenFileTree, RTree};
 use rsj_storage::{
     BufferPool, CacheConfig, EntryFormat, EvictionPolicy, FileNodeAccess, PageFile,
-    ShardedFileAccess, ShardedPageFile, SharedPageCache, TempDir, READ_LATENCY_ENV,
+    SharedPageCache, TempDir, READ_LATENCY_ENV,
 };
 
 const PAGE: usize = 4096;
@@ -148,16 +148,19 @@ impl PlanReport {
 /// from disk, and joined with every buffer miss performing a real page
 /// read. "Cold" resets the whole backend (LRU, path buffers, page-file
 /// counters) before every run; "warm" reuses the populated buffer.
-/// A shard-count sweep over [`ShardedFileAccess`] (identical
-/// `disk_accesses` by contract) rides along.
 struct FileReport {
     buffer_pages: usize,
+    /// Interleaved cold/in-memory pairs behind `cold_over_cursor`.
+    cold_pairs: u32,
+    /// Median seconds of the cold file-backed join over the pairs.
     cold_secs: f64,
     cold_disk: u64,
+    /// Median seconds of the in-memory counted cursor over the pairs.
+    cursor_secs: f64,
+    /// Median of the per-pair `cursor / cold` time ratios.
+    cold_over_cursor: f64,
     warm_secs: f64,
     warm_disk: u64,
-    /// `(shard_count, best cold secs, disk accesses)` per sweep point.
-    shards: Vec<(usize, f64, u64)>,
 }
 
 fn measure_file_backend(
@@ -197,12 +200,39 @@ fn measure_file_backend(
         run(&mut access)
     };
     assert_eq!(pairs, expect_pairs, "file backend must agree on the count");
-    let mut cold_secs = f64::INFINITY;
-    for _ in 0..iters {
+
+    // Cold against the in-memory counted cursor, timed as back-to-back
+    // pairs. Each pair's ratio sees the same machine state on both sides,
+    // and which side runs first alternates from pair to pair, so neither
+    // drift nor order favours one. The guarded figure is the median of
+    // the per-pair ratios, which one noisy sub-millisecond join cannot
+    // move the way it moves a ratio of two best-of-N minima.
+    let cold_pairs = if quick() { 41 } else { 101 };
+    let cold = |access: &mut FileNodeAccess| {
         access.reset();
         let start = Instant::now();
-        run(&mut access);
-        cold_secs = cold_secs.min(start.elapsed().as_secs_f64());
+        run(access);
+        start.elapsed().as_secs_f64()
+    };
+    let in_memory = || {
+        let start = Instant::now();
+        run_cursor(r, s, plan, cfg);
+        start.elapsed().as_secs_f64()
+    };
+    let mut cold_times = Vec::with_capacity(cold_pairs as usize);
+    let mut cursor_times = Vec::with_capacity(cold_pairs as usize);
+    let mut ratios = Vec::with_capacity(cold_pairs as usize);
+    for i in 0..cold_pairs {
+        let (cursor, file) = if i % 2 == 0 {
+            let cursor = in_memory();
+            (cursor, cold(&mut access))
+        } else {
+            let file = cold(&mut access);
+            (in_memory(), file)
+        };
+        cursor_times.push(cursor);
+        cold_times.push(file);
+        ratios.push(cursor / file);
     }
 
     // Warm: populate once after a reset, then measure without resetting.
@@ -220,85 +250,32 @@ fn measure_file_backend(
         "a warm buffer cannot read more than a cold one"
     );
 
-    // Shard-count sweep: the same join over subtree-partitioned files.
-    let mut shards = Vec::new();
-    for shard_count in [2usize, 4, 8] {
-        let (rb, sb) = (
-            dir.file(&format!("r{shard_count}.rsj")),
-            dir.file(&format!("s{shard_count}.rsj")),
-        );
-        r.save_sharded_to(&rb, shard_count).expect("save sharded R");
-        s.save_sharded_to(&sb, shard_count).expect("save sharded S");
-        let rs = RTree::open_sharded_from(&rb).expect("reopen sharded R");
-        let ss = RTree::open_sharded_from(&sb).expect("reopen sharded S");
-        let mut access = ShardedFileAccess::new(
-            vec![
-                ShardedPageFile::open(&rb).expect("open sharded R"),
-                ShardedPageFile::open(&sb).expect("open sharded S"),
-            ],
-            cfg.buffer_bytes,
-            &[rs.height() as usize, ss.height() as usize],
-            EvictionPolicy::Lru,
-        )
-        .expect("sharded backend");
-        let run_sharded = |access: &mut ShardedFileAccess| -> (u64, u64) {
-            let mut cursor = JoinCursor::new(&rs, &ss, plan, &mut *access);
-            let pairs = (&mut cursor).count() as u64;
-            (pairs, cursor.stats().io.disk_accesses)
-        };
-        let (pairs, disk) = {
-            access.reset();
-            run_sharded(&mut access)
-        };
-        assert_eq!(pairs, expect_pairs, "sharded backend must agree");
-        assert_eq!(
-            disk, cold_disk,
-            "sharding must not move the disk-access accounting"
-        );
-        let mut secs = f64::INFINITY;
-        for _ in 0..iters {
-            access.reset();
-            let start = Instant::now();
-            run_sharded(&mut access);
-            secs = secs.min(start.elapsed().as_secs_f64());
-        }
-        shards.push((shard_count, secs, disk));
-    }
-
     FileReport {
         buffer_pages,
-        cold_secs,
+        cold_pairs,
+        cold_secs: median(&mut cold_times),
         cold_disk,
+        cursor_secs: median(&mut cursor_times),
+        cold_over_cursor: median(&mut ratios),
         warm_secs,
         warm_disk,
-        shards,
     }
 }
 
 impl FileReport {
-    /// `cursor_secs` is the in-memory counted cursor's time on the same
-    /// plan, measured in the same process — `cold_over_cursor` is the
-    /// machine-independent ratio the CI bench-smoke guard checks.
-    fn json(&self, cursor_secs: f64) -> String {
-        let shards = self
-            .shards
-            .iter()
-            .map(|&(n, secs, disk)| {
-                format!(
-                    "{{ \"shards\": {n}, \"secs_per_join\": {secs:.6}, \"disk_accesses\": {disk} }}"
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
+    /// `cold_over_cursor` is the machine-independent ratio the CI
+    /// bench-smoke guard checks.
+    fn json(&self) -> String {
         format!(
-            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"shard_sweep\": [{}],\n    \"cold_over_cursor\": {:.4}\n  }}",
+            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"pairs\": {}, \"secs_per_join\": {:.6}, \"cursor_secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"cold_over_cursor\": {:.4}\n  }}",
             self.buffer_pages,
+            self.cold_pairs,
             self.cold_secs,
+            self.cursor_secs,
             self.cold_disk,
             self.warm_secs,
             self.warm_disk,
-            shards,
-            cursor_secs / self.cold_secs,
+            self.cold_over_cursor,
         )
     }
 }
@@ -1580,7 +1557,7 @@ fn bench_exec(c: &mut Criterion) {
     // The persistent backend on the headline plan: same join, but the
     // trees come off disk and every buffer miss is a real page read.
     let file = measure_file_backend(&r, &s, JoinPlan::sj2(), sj2.pairs, &cfg, iters);
-    let file_json = file.json(sj2.secs[1]);
+    let file_json = file.json();
     // A cold read-ahead cache handle vs the blocking backend, with and
     // without injected per-read latency, plus the cold-cache parallel
     // sweep.

@@ -13,9 +13,9 @@ Clauses:
 1. the streaming cursor must not fall back behind the recursive driver
    (some headroom for CI-runner noise);
 2. the file-backed SJ2 cold run must stay within 0.95x of the recorded
-   baseline ratio against the in-memory cursor measured in the same run
-   (baseline cold_over_cursor = 0.91), and sharding must not move the
-   deterministic disk-access counts;
+   baseline ratio against the in-memory counted cursor measured in the
+   same run (baseline cold_over_cursor = 0.91; the median of the ratios
+   of interleaved back-to-back cold-file / in-memory pairs);
 3. the write path keeps saved-tree equivalence: a cold SJ2 over a file
    updated in place (dirty write-back + free-list reuse) costs exactly as
    many disk accesses as over a freshly saved tree with the same updates;
@@ -73,12 +73,8 @@ def main() -> None:
         sys.exit(f"perf regression: cursor at {ratio}x recursive (< 0.95)")
     print(f"raw_over_cursor = {bench['raw_over_cursor']}")
 
-    # 2. file backend and shard sweep
+    # 2. file backend
     fb = bench["file_backend"]
-    cold = fb["cold"]["disk_accesses"]
-    for point in fb["shard_sweep"]:
-        if point["disk_accesses"] != cold:
-            sys.exit(f"sharding at {point['shards']} moved the disk-access accounting")
     foc = fb["cold_over_cursor"]
     floor = 0.95 * 0.91  # 0.95x of the recorded baseline cold_over_cursor
     print(f"file cold_over_cursor = {foc} (floor {floor:.3f})")

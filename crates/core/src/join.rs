@@ -81,8 +81,7 @@ pub fn spatial_join_metered<M: Meter>(
 
 /// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
 /// backend instead of a private [`BufferPool`] — the entry point for the
-/// blocking file-backed [`rsj_storage::FileNodeAccess`] (also over
-/// subtree-sharded files, [`rsj_storage::ShardedFileAccess`]), a
+/// blocking file-backed [`rsj_storage::FileNodeAccess`], a
 /// [`rsj_storage::SharedCacheFileAccess`] handle (the cursor announces
 /// its read schedules to backends that opt in via
 /// [`rsj_storage::NodeAccess::wants_hints`], and the handle reads ahead

@@ -151,10 +151,7 @@ fn merge_results(results: Vec<JoinResult>, root_comparisons: u64, page_bytes: us
 /// file-backed shared-nothing deployment: a
 /// [`rsj_storage::FileNodeAccess`] over freshly-opened page files and a
 /// slice of the buffer budget — each worker gets its own file handles,
-/// like a worker process would; for genuinely disjoint physical files, a
-/// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, whose
-/// partition matches the subtree-pair tasks dealt here; for one shared
-/// warm pool, a [`rsj_storage::SharedPageCache`] handle per worker, see
+/// like a worker process would; for one shared warm pool, a [`rsj_storage::SharedPageCache`] handle per worker, see
 /// [`parallel_spatial_join_warm`]). Tasks are partitioned and accounted
 /// as in [`parallel_spatial_join`]. Each worker's cursor announces
 /// its task list — and every frame schedule below it — as read-schedule

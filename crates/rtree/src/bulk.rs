@@ -19,18 +19,17 @@
 //!   by level into a [`PageStore`] and return an [`RTree`]. The STR
 //!   variant re-tiles each directory level, which polishes the upper
 //!   directory slightly.
-//! * [`load_to_file`] / [`load_to_sharded`] — the **streaming** loaders:
+//! * [`load_to_file`] — the **streaming** loader:
 //!   a level-streaming packer emits every finished node exactly once,
 //!   bottom-up, through a [`rsj_storage::BulkPageWriter`], so peak
 //!   resident *node* memory is one forming node per level — O(M × height)
 //!   entries — regardless of input size. Upper levels keep the order the
 //!   packing below induces (Leutenegger's original formulation; no
 //!   re-tiling pass, which would require materializing a level). The root
-//!   is the last page emitted and header/manifest are written only on
-//!   success, so a build that dies mid-stream reads back as a typed
+//!   is the last page emitted and the header is written only on success,
+//!   so a build that dies mid-stream reads back as a typed
 //!   [`StorageError`], never a half tree. Files open through the ordinary
-//!   [`RTree::open_from`] / [`RTree::open_sharded_from`] and serve every
-//!   file backend unchanged.
+//!   [`RTree::open_from`] and serve every file backend unchanged.
 //!
 //! The ordering pass is parallel for either path: chunked per-worker
 //! stable sorts merged by key (and, for STR, the per-slab y-sorts fan out
@@ -51,9 +50,7 @@ use crate::persist;
 use crate::tree::RTree;
 use rsj_geom::{hilbert, Rect};
 use rsj_storage::codec::{self, DiskNode, EntryFormat};
-use rsj_storage::{
-    BulkPageWriter, PageFile, PageId, PageStore, ShardedPageFile, StorageError, WritablePageFile,
-};
+use rsj_storage::{BulkPageWriter, PageFile, PageId, PageStore, StorageError};
 
 /// Default fraction of M that packed nodes are filled to. Partial fill
 /// leaves room for later dynamic inserts; 0.7 is in line with the storage
@@ -191,30 +188,24 @@ pub fn load_to_file(
     path: impl AsRef<Path>,
 ) -> Result<(PageFile, BulkStats), BulkError> {
     validate_items(items)?;
+    let workers = if cfg.workers == 0 {
+        auto_workers(items.len())
+    } else {
+        cfg.workers
+    };
+    let mut entries: Vec<Entry> = items.iter().map(|&(r, id)| Entry::data(r, id)).collect();
+    match layout {
+        BulkLayout::Str => str_order(&mut entries, workers),
+        BulkLayout::Hilbert => hilbert_order(&mut entries, workers),
+    }
     let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
     let mut writer = BulkPageWriter::create_file(path, params.page_bytes, slot, cfg.format)?;
-    let (root, stats) = build_to_writer(params, items, layout, cfg, &mut writer)?;
-    let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
-    Ok((file, stats))
-}
-
-/// [`load_to_file`] over N physical shard files (manifest at `base`).
-/// Pages land on shard `partition(id, shards)` in emission order — the
-/// subtree structure is not known while streaming — and the manifest is
-/// written only on success. Opens through [`RTree::open_sharded_from`].
-pub fn load_to_sharded(
-    params: RTreeParams,
-    items: &[(Rect, DataId)],
-    layout: BulkLayout,
-    cfg: BulkConfig,
-    base: impl AsRef<Path>,
-    shards: usize,
-) -> Result<(ShardedPageFile, BulkStats), BulkError> {
-    validate_items(items)?;
-    let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
-    let mut writer =
-        BulkPageWriter::create_sharded(base, params.page_bytes, slot, shards, cfg.format)?;
-    let (root, stats) = build_to_writer(params, items, layout, cfg, &mut writer)?;
+    let mut packer = StreamPacker::new(&mut writer, &params, node_cap(&params, cfg.fill));
+    packer.start(entries.len());
+    for e in entries {
+        packer.push(0, e)?;
+    }
+    let (root, stats) = packer.finish()?;
     let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
     Ok((file, stats))
 }
@@ -518,8 +509,8 @@ struct LevelBuf {
 /// per-level totals are precomputed from the input count alone
 /// ([`level_counts`]), so cut boundaries — including the root decision —
 /// match the in-memory loader's for the same ordered input.
-struct StreamPacker<'w, W: WritablePageFile> {
-    writer: &'w mut BulkPageWriter<W>,
+struct StreamPacker<'w> {
+    writer: &'w mut BulkPageWriter,
     cap: usize,
     m: usize,
     max: usize,
@@ -550,8 +541,8 @@ fn level_counts(n: usize, cap: usize, m: usize, max: usize) -> Vec<usize> {
     counts
 }
 
-impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
-    fn new(writer: &'w mut BulkPageWriter<W>, params: &RTreeParams, cap: usize) -> Self {
+impl<'w> StreamPacker<'w> {
+    fn new(writer: &'w mut BulkPageWriter, params: &RTreeParams, cap: usize) -> Self {
         StreamPacker {
             writer,
             cap,
@@ -643,32 +634,6 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
             },
         ))
     }
-}
-
-/// Shared driver of the streaming loaders: order, plan, stream-pack.
-fn build_to_writer<W: WritablePageFile>(
-    params: RTreeParams,
-    items: &[(Rect, DataId)],
-    layout: BulkLayout,
-    cfg: BulkConfig,
-    writer: &mut BulkPageWriter<W>,
-) -> Result<(PageId, BulkStats), BulkError> {
-    let workers = if cfg.workers == 0 {
-        auto_workers(items.len())
-    } else {
-        cfg.workers
-    };
-    let mut entries: Vec<Entry> = items.iter().map(|&(r, id)| Entry::data(r, id)).collect();
-    match layout {
-        BulkLayout::Str => str_order(&mut entries, workers),
-        BulkLayout::Hilbert => hilbert_order(&mut entries, workers),
-    }
-    let mut packer = StreamPacker::new(writer, &params, node_cap(&params, cfg.fill));
-    packer.start(entries.len());
-    for e in entries {
-        packer.push(0, e)?;
-    }
-    Ok(packer.finish()?)
 }
 
 /// Convenience: pick the page id of the root after loading (used in tests).
@@ -928,29 +893,6 @@ mod tests {
             v
         };
         assert_eq!(sizes(&streamed), sizes(&mem));
-    }
-
-    #[test]
-    fn streamed_sharded_file_round_trips() {
-        let dir = TempDir::new("rtree-bulk").unwrap();
-        let data = items(2500);
-        let base = dir.file("s.sharded.rsj");
-        let (file, stats) = load_to_sharded(
-            params(),
-            &data,
-            BulkLayout::Str,
-            BulkConfig::default(),
-            &base,
-            4,
-        )
-        .unwrap();
-        assert_eq!(file.page_count(), stats.pages);
-        assert_eq!(file.shard_count(), 4);
-        drop(file);
-        let t = RTree::open_sharded_from(&base).unwrap();
-        t.validate().unwrap();
-        assert_eq!(t.len(), 2500);
-        assert_eq!(sorted_ids(&t), (0..2500).collect::<Vec<_>>());
     }
 
     #[test]

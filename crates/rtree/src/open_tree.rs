@@ -5,8 +5,8 @@
 //! §3.1 premise demands (an R-tree is *completely dynamic*; insertions and
 //! deletions intermix with queries with no global reorganization):
 //! `insert` and `delete` run against a tree sitting on an **open**
-//! [`rsj_storage::PageFile`] (or [`rsj_storage::ShardedPageFile`]), with
-//! every page effect flowing through the buffer manager —
+//! [`rsj_storage::PageFile`], with every page effect flowing through the
+//! buffer manager —
 //!
 //! * pages the update descends through are charged as reads
 //!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read);
@@ -32,16 +32,16 @@
 //! The mechanism: the page store records [`PageEvent`]s (touched /
 //! allocated / freed, in order) while the tree code runs; after each
 //! update the events replay against the backend — `Alloc` goes to
-//! [`WritablePageFile::allocate`] (which must hand back the very same page
-//! id the in-memory allocator chose; divergence is a hard error), `Freed`
-//! to [`WritablePageFile::release`] plus a dirty-state discard, `Touched`
-//! to an access charge plus a dirty registration.
+//! [`PageFile::allocate`] (which must hand back the very same page id the
+//! in-memory allocator chose; divergence is a hard error), `Freed` to
+//! [`PageFile::release`] plus a dirty-state discard, `Touched` to an
+//! access charge plus a dirty registration.
 
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
 use rsj_storage::{
-    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, PageNode, ShardedFileAccess,
-    ShardedPageFile, SharedCacheFileAccess, SharedPageCache, UpdateBackend, WritablePageFile,
+    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, PageNode, SharedCacheFileAccess,
+    SharedPageCache, UpdateBackend,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -55,16 +55,16 @@ use crate::tree::RTree;
 /// depth.
 const MAX_HEIGHT: usize = 64;
 
-/// The default store tag updates are charged under (a private backend —
-/// [`FileNodeAccess`], [`ShardedFileAccess`] — serves exactly one file,
-/// at store 0). Trees opened over a multi-store [`SharedPageCache`] carry
-/// their own store tag instead ([`OpenTree::from_parts_at`]).
+/// The default store tag updates are charged under (a private
+/// [`FileNodeAccess`] serves exactly one file, at store 0). Trees opened
+/// over a multi-store [`SharedPageCache`] carry their own store tag
+/// instead ([`OpenTree::from_parts_at`]).
 const STORE: u8 = 0;
 
 /// An R\*-tree open for incremental updates on its backing page file
 /// (module docs). Generic over the [`UpdateBackend`]:
-/// [`OpenFileTree`] for single page files, [`OpenShardedTree`] for
-/// manifest-sharded ones.
+/// [`OpenFileTree`] for a private buffer over the page file,
+/// [`OpenCachedTree`] for one store of a shared page cache.
 #[derive(Debug)]
 pub struct OpenTree<B: UpdateBackend> {
     tree: RTree,
@@ -91,10 +91,6 @@ pub struct OpenTree<B: UpdateBackend> {
 /// [`OpenTree`] over a single [`PageFile`].
 pub type OpenFileTree = OpenTree<FileNodeAccess>;
 
-/// [`OpenTree`] over a [`ShardedPageFile`] (birth-shard migration policy;
-/// see `rsj_storage::sharded`).
-pub type OpenShardedTree = OpenTree<ShardedFileAccess>;
-
 /// [`OpenTree`] over one store of a live [`SharedPageCache`]: updates run
 /// through the latched shared frames while parallel joins serve reads
 /// from the same pool. Opened via [`OpenCachedTree::open_cached`].
@@ -108,23 +104,6 @@ impl OpenFileTree {
         let tree = RTree::load(&mut file)?;
         file.reset_io(); // loading is not update I/O
         let access = FileNodeAccess::with_capacity_pages(
-            vec![file],
-            cap_pages,
-            &[MAX_HEIGHT],
-            EvictionPolicy::Lru,
-        )?;
-        Self::from_parts(tree, access)
-    }
-}
-
-impl OpenShardedTree {
-    /// Opens the sharded file at `base` read-write for incremental
-    /// updates, buffering through an LRU of `cap_pages`.
-    pub fn open_sharded(base: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        let mut file = ShardedPageFile::open_rw(base)?;
-        let tree = RTree::load_sharded(&mut file)?;
-        file.reset_io();
-        let access = ShardedFileAccess::with_capacity_pages(
             vec![file],
             cap_pages,
             &[MAX_HEIGHT],
@@ -169,8 +148,8 @@ impl<B: UpdateBackend> OpenTree<B> {
     pub fn from_parts_at(mut tree: RTree, access: B, store: u8) -> Result<Self, StorageError> {
         if !access.supports_writes() {
             return Err(StorageError::Corrupt(
-                "backend is read-only in this configuration (parallel shard \
-                 readers hold independent file handles a write could race)"
+                "backend is read-only: it holds no write handle for any store \
+                 (open it via SharedPageCache::update_handle)"
                     .into(),
             ));
         }
@@ -182,7 +161,7 @@ impl<B: UpdateBackend> OpenTree<B> {
                 tree.allocated_pages()
             )));
         }
-        file.check_consistent_page_bytes(tree.params().page_bytes)?;
+        file.check_page_bytes(tree.params().page_bytes)?;
         if file.free_pages() != tree.page_store().free_pages() {
             return Err(StorageError::Corrupt(
                 "file and tree disagree on the free list".into(),
@@ -337,9 +316,9 @@ impl<B: UpdateBackend> OpenTree<B> {
     }
 
     /// Writes back every dirty page, stores root/len/params in the header
-    /// metadata, and persists headers durably. After a flush,
-    /// `open_from`/`open_sharded_from` on the same path yields a tree
-    /// page-for-page identical to [`OpenTree::tree`].
+    /// metadata, and persists headers durably. After a flush, `open_from`
+    /// on the same path yields a tree page-for-page identical to
+    /// [`OpenTree::tree`].
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         self.access.flush_writes()?;
@@ -366,24 +345,6 @@ impl<B: UpdateBackend> OpenTree<B> {
             Ok(()) => Ok(self.access),
             Err(e) => Err((self, e)),
         }
-    }
-}
-
-/// The page-size consistency check, expressed on the trait so
-/// [`OpenTree::from_parts`] works for any backend.
-trait CheckPageBytes {
-    fn check_consistent_page_bytes(&self, expected: usize) -> Result<(), StorageError>;
-}
-
-impl<F: WritablePageFile> CheckPageBytes for F {
-    fn check_consistent_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
-        if self.page_bytes() != expected {
-            return Err(StorageError::PageSizeMismatch {
-                expected: expected as u32,
-                found: self.page_bytes() as u32,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -527,31 +488,6 @@ mod tests {
         back.validate().unwrap();
         assert_eq!(back.free_page_count(), freed, "free list round-trips");
         assert_eq!(back.len(), 300);
-    }
-
-    #[test]
-    fn sharded_updates_keep_birth_shards_and_round_trip() {
-        let dir = TempDir::new("open-tree").unwrap();
-        let base = dir.file("t.sharded.rsj");
-        let seed = build(250);
-        seed.save_sharded_to(&base, 4).unwrap();
-        let mut oracle = seed.clone();
-        let mut open = OpenShardedTree::open_sharded(&base, 16).unwrap();
-        script(|r, id, ins| {
-            if ins {
-                oracle.insert(r, id);
-                open.insert(r, id).unwrap();
-            } else {
-                oracle.delete(&r, id);
-                open.delete(&r, id).unwrap();
-            }
-        });
-        open.flush().unwrap();
-        assert_page_identical(open.tree(), &oracle);
-        drop(open);
-        let back = RTree::open_sharded_from(&base).unwrap();
-        back.validate().unwrap();
-        assert_page_identical(&back, &oracle);
     }
 
     #[test]

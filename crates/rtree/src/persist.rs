@@ -1,16 +1,10 @@
-//! Tree persistence: `save_to` / `open_from` over [`rsj_storage::PageFile`],
-//! and the sharded twins `save_sharded_to` / `open_sharded_from` over
-//! [`rsj_storage::ShardedPageFile`].
+//! Tree persistence: `save_to` / `open_from` over [`rsj_storage::PageFile`].
 //!
 //! A saved tree is one page file in the [`rsj_storage::codec`] format.
 //! Every allocated page of the in-memory store is written to the slot of
 //! the same index — including pages unreachable after merges — so
 //! [`PageId`]s survive the round trip unchanged and a reopened tree
 //! traverses (and therefore charges buffers) exactly like the original.
-//! The sharded variant keeps the same global page-id space but distributes
-//! the pages over N physical files by **root-entry subtree** (see
-//! [`RTree::shard_assignment`]), so shared-nothing parallel workers
-//! joining disjoint subtree pairs read genuinely disjoint files.
 //!
 //! The header's 40-byte metadata blob carries the tree-level state the
 //! page payloads cannot: root page, entry count, and the structural
@@ -35,7 +29,7 @@ use rsj_geom::Rect;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
 };
-use rsj_storage::{partition, PageFile, PageId, PageStore, ShardedPageFile};
+use rsj_storage::{PageFile, PageId, PageStore};
 
 const POLICY_RSTAR: u8 = 0;
 const POLICY_GUTTMAN_QUADRATIC: u8 = 1;
@@ -148,75 +142,6 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
         level: disk.level,
         entries,
     })
-}
-
-/// Builds a tree from `page_count` decoded pages pulled through
-/// `read_page` — the shared assembly path of [`RTree::load`] and
-/// [`RTree::load_sharded`]. `format` is the file's entry format; `free`
-/// is the file's (already chain-validated) free list, reconstructed into
-/// the store so later updates allocate exactly like the tree that was
-/// saved.
-fn assemble(
-    page_bytes: usize,
-    page_count: u32,
-    meta: &[u8; META_BYTES],
-    format: EntryFormat,
-    free: &[PageId],
-    mut read_page: impl FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError>,
-) -> Result<RTree, StorageError> {
-    if page_count == 0 {
-        return Err(StorageError::Corrupt("page file holds no pages".into()));
-    }
-    let (root, len, params) = decode_meta(meta, page_bytes, page_count)?;
-    let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
-    let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
-    let mut buf = Vec::new();
-    for id in 0..page_count {
-        let id = PageId(id);
-        read_page(id, &mut buf)?;
-        match codec::decode_page_fmt(&buf, format)? {
-            DiskPage::Node(disk) => {
-                if free_set.contains(&id) {
-                    return Err(StorageError::Corrupt(format!(
-                        "free chain claims live page {id}"
-                    )));
-                }
-                store.alloc(from_disk(disk, page_count)?);
-            }
-            DiskPage::Free { .. } => {
-                // The chain itself was validated by the file layer; here
-                // we only reject markers the chain does not account for
-                // (a free page no allocation could ever reach again).
-                if !free_set.contains(&id) {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {id} is a free marker but not on the free chain"
-                    )));
-                }
-                store.alloc(Node::leaf()); // placeholder, unreachable
-            }
-        }
-    }
-    store.restore_free_list(free.to_vec());
-    store.reset_io(); // loading is not join I/O
-    let tree = RTree {
-        store,
-        root,
-        params,
-        len,
-    };
-    if free_set.contains(&tree.root) {
-        return Err(StorageError::Corrupt(format!(
-            "root page {} is on the free chain",
-            tree.root
-        )));
-    }
-    // A decodable file can still be structurally broken (reference
-    // cycles, unbalanced levels, lying entry counts); the invariant
-    // checker is cycle-safe, so corruption surfaces here as a typed
-    // error instead of hanging the first traversal.
-    tree.validate()
-        .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-    Ok(tree)
 }
 
 /// A persisted tree as a reader starts from it: the header's metadata
@@ -345,110 +270,67 @@ impl RTree {
         Self::load(&mut file)
     }
 
-    /// [`RTree::open_from`] over an already-open [`PageFile`].
+    /// [`RTree::open_from`] over an already-open [`PageFile`]: decodes
+    /// every page into a fresh store. The file's (already chain-validated)
+    /// free list is reconstructed into the store, so later updates
+    /// allocate exactly like the tree that was saved.
     pub fn load(file: &mut PageFile) -> Result<RTree, StorageError> {
-        let (page_bytes, page_count, meta) = (file.page_bytes(), file.page_count(), *file.meta());
+        let page_count = file.page_count();
+        if page_count == 0 {
+            return Err(StorageError::Corrupt("page file holds no pages".into()));
+        }
+        let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
         let format = file.entry_format();
         let free = file.free_pages().to_vec();
-        assemble(page_bytes, page_count, &meta, format, &free, |id, buf| {
-            file.read_page_into(id, buf)
-        })
-    }
-
-    /// Partitions this tree's pages over `shards` physical files by
-    /// **root-entry subtree**: all pages below the root's `i`-th entry go
-    /// to shard [`partition`]`(i, shards)`, so the subtree-pair tasks a
-    /// parallel join deals to its workers resolve to disjoint files. The
-    /// root page and pages outside any subtree (unreachable after merges)
-    /// fall back to [`partition`] over their page id. `shards` is clamped
-    /// to the manifest's `1..=255` range.
-    pub fn shard_assignment(&self, shards: usize) -> Vec<u8> {
-        let shards = shards.clamp(1, rsj_storage::sharded::MAX_SHARDS);
-        let mut assign: Vec<u8> = (0..self.page_store().len())
-            .map(|id| partition(id as u64, shards) as u8)
-            .collect();
-        let root_node = self.node(self.root);
-        if !root_node.is_leaf() {
-            for (i, e) in root_node.entries.iter().enumerate() {
-                let shard = partition(i as u64, shards) as u8;
-                let mut stack = vec![Self::child_page(e)];
-                while let Some(page) = stack.pop() {
-                    assign[page.0 as usize] = shard;
-                    let node = self.node(page);
-                    if !node.is_leaf() {
-                        stack.extend(node.entries.iter().map(Self::child_page));
+        let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
+        let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
+        let mut buf = Vec::new();
+        for id in 0..page_count {
+            let id = PageId(id);
+            file.read_page_into(id, &mut buf)?;
+            match codec::decode_page_fmt(&buf, format)? {
+                DiskPage::Node(disk) => {
+                    if free_set.contains(&id) {
+                        return Err(StorageError::Corrupt(format!(
+                            "free chain claims live page {id}"
+                        )));
                     }
+                    store.alloc(from_disk(disk, page_count)?);
+                }
+                DiskPage::Free { .. } => {
+                    // The chain itself was validated by the file layer; here
+                    // we only reject markers the chain does not account for
+                    // (a free page no allocation could ever reach again).
+                    if !free_set.contains(&id) {
+                        return Err(StorageError::Corrupt(format!(
+                            "page {id} is a free marker but not on the free chain"
+                        )));
+                    }
+                    store.alloc(Node::leaf()); // placeholder, unreachable
                 }
             }
         }
-        assign
-    }
-
-    /// [`RTree::save_to`] over N physical files: writes the manifest at
-    /// `base` and the pages into `base.shard0..shard{N-1}` under the
-    /// subtree partition of [`RTree::shard_assignment`]. Global page ids
-    /// (and therefore traversal order and buffer charging) are identical
-    /// to the single-file format.
-    pub fn save_sharded_to(
-        &self,
-        base: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<ShardedPageFile, StorageError> {
-        self.save_sharded_to_with_format(base, shards, EntryFormat::F64)
-    }
-
-    /// [`RTree::save_sharded_to`] with an explicit on-disk entry format.
-    pub fn save_sharded_to_with_format(
-        &self,
-        base: impl AsRef<Path>,
-        shards: usize,
-        format: EntryFormat,
-    ) -> Result<ShardedPageFile, StorageError> {
-        let slot = self.slot_bytes(format);
-        let assignment = self.shard_assignment(shards);
-        let shard_count = shards.clamp(1, rsj_storage::sharded::MAX_SHARDS);
-        let mut file = ShardedPageFile::create_with_format(
-            base,
-            self.params().page_bytes,
-            slot,
-            shard_count,
-            &assignment,
-            format,
-        )?;
-        let chain = self.free_chain();
-        let mut buf = Vec::with_capacity(slot);
-        for id in 0..self.page_store().len() {
-            let id = PageId(id as u32);
-            match chain.get(&id) {
-                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
-                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
-            }
-            file.append_page(&buf)?;
+        store.restore_free_list(free);
+        store.reset_io(); // loading is not join I/O
+        let tree = RTree {
+            store,
+            root,
+            params,
+            len,
+        };
+        if free_set.contains(&tree.root) {
+            return Err(StorageError::Corrupt(format!(
+                "root page {} is on the free chain",
+                tree.root
+            )));
         }
-        file.set_free_list(self.page_store().free_pages())?;
-        file.set_meta(encode_meta(self));
-        file.flush()?;
-        Ok(file)
-    }
-
-    /// Reopens a tree saved with [`RTree::save_sharded_to`]. Page ids,
-    /// root, parameters and entry count are restored exactly — the same
-    /// guarantees as [`RTree::open_from`], with the pages pulled from
-    /// whichever shard owns them.
-    pub fn open_sharded_from(base: impl AsRef<Path>) -> Result<RTree, StorageError> {
-        let mut file = ShardedPageFile::open(base)?;
-        Self::load_sharded(&mut file)
-    }
-
-    /// [`RTree::open_sharded_from`] over an already-open
-    /// [`ShardedPageFile`].
-    pub fn load_sharded(file: &mut ShardedPageFile) -> Result<RTree, StorageError> {
-        let (page_bytes, page_count, meta) = (file.page_bytes(), file.page_count(), *file.meta());
-        let format = file.entry_format();
-        let free = file.free_pages().to_vec();
-        assemble(page_bytes, page_count, &meta, format, &free, |id, buf| {
-            file.read_page_into(id, buf)
-        })
+        // A decodable file can still be structurally broken (reference
+        // cycles, unbalanced levels, lying entry counts); the invariant
+        // checker is cycle-safe, so corruption surfaces here as a typed
+        // error instead of hanging the first traversal.
+        tree.validate()
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
+        Ok(tree)
     }
 }
 
@@ -607,73 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_save_then_open_round_trips_everything() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(400);
-        for shards in [1usize, 2, 4, 7] {
-            let base = dir.file(&format!("t{shards}.rsj"));
-            let file = tree.save_sharded_to(&base, shards).unwrap();
-            assert_eq!(file.page_count() as usize, tree.allocated_pages());
-            assert_eq!(file.shard_count(), shards);
-
-            let back = RTree::open_sharded_from(&base).unwrap();
-            back.validate().unwrap();
-            assert_eq!(back.len(), tree.len());
-            assert_eq!(back.root(), tree.root());
-            assert_eq!(back.params(), tree.params());
-            assert_eq!(sorted_entries(&back), sorted_entries(&tree));
-            // Page-by-page identity across the shard split: traversals
-            // must charge the same global page ids.
-            for id in 0..tree.page_store().len() {
-                let p = PageId(id as u32);
-                assert_eq!(back.node(p), tree.node(p), "page {p} at {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_assignment_is_a_subtree_partition() {
-        let tree = build(400);
-        assert!(!tree.node(tree.root()).is_leaf(), "fixture needs depth");
-        let shards = 4;
-        let assign = tree.shard_assignment(shards);
-        assert_eq!(assign.len(), tree.allocated_pages());
-        assert!(assign.iter().all(|&s| usize::from(s) < shards));
-        // Every page of one root subtree shares that subtree's shard.
-        let root_node = tree.node(tree.root());
-        for (i, e) in root_node.entries.iter().enumerate() {
-            let want = rsj_storage::partition(i as u64, shards) as u8;
-            let mut stack = vec![RTree::child_page(e)];
-            while let Some(page) = stack.pop() {
-                assert_eq!(
-                    assign[page.0 as usize], want,
-                    "page {page} of subtree {i} not on its shard"
-                );
-                let node = tree.node(page);
-                if !node.is_leaf() {
-                    stack.extend(node.entries.iter().map(RTree::child_page));
-                }
-            }
-        }
-        // Clamping: any shard request collapses into the manifest range.
-        assert!(
-            tree.shard_assignment(0).iter().all(|&s| s == 0),
-            "zero clamps to one shard"
-        );
-    }
-
-    #[test]
-    fn sharded_empty_tree_round_trips() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(0);
-        let base = dir.file("empty.rsj");
-        tree.save_sharded_to(&base, 3).unwrap();
-        let back = RTree::open_sharded_from(&base).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.height(), 1);
-    }
-
-    #[test]
     fn free_list_round_trips_through_save_and_open() {
         let dir = TempDir::new("rtree-persist").unwrap();
         let mut tree = build(400);
@@ -770,19 +585,6 @@ mod tests {
         let got: std::collections::HashSet<u64> =
             back.window_query(&probe).into_iter().map(|d| d.0).collect();
         assert!(got.is_superset(&want), "f32 recall must not regress");
-    }
-
-    #[test]
-    fn sharded_f32_round_trips_validly() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(400);
-        let base = dir.file("t32.sharded.rsj");
-        tree.save_sharded_to_with_format(&base, 3, EntryFormat::F32)
-            .unwrap();
-        let back = RTree::open_sharded_from(&base).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.len(), tree.len());
-        assert_eq!(back.root(), tree.root());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! * [`crate::BufferPool`] — the sequential stack of §4.1 (path buffer →
 //!   LRU → disk), owned by one executor: the accounting oracle;
-//! * [`crate::FileNodeAccess`] — the same hierarchy over real page files
-//!   (single or sharded, [`crate::ShardedFileAccess`]), where every miss
-//!   performs an actual, blocking read: the blocking reference;
+//! * [`crate::FileNodeAccess`] — the same hierarchy over real page
+//!   files, where every miss performs an actual, blocking read: the
+//!   blocking reference;
 //! * [`crate::SharedCacheFileAccess`] — a handle onto the shared frame
 //!   cache over the completion queue, serving decoded nodes and hiding
 //!   read latency by reading ahead: the production backend, and the one

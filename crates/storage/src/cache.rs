@@ -73,7 +73,7 @@
 //! Each worker drives the cache through a [`SharedCacheFileAccess`]
 //! handle carrying **private path buffers and a private logical LRU** —
 //! the full §4.1 decision hierarchy of [`crate::BufferPool`], charged
-//! through the same [`crate::pool::hierarchy_access`] chokepoint. A
+//! through the same `pool::hierarchy_access` chokepoint. A
 //! handle's [`IoStats`] is therefore bit-identical to a private-buffer
 //! worker of the same capacity *by construction*, independent of what
 //! other workers do. Only on a charged logical miss does the handle
@@ -132,16 +132,25 @@ const SWEEP_MIN: usize = 32;
 const MAX_SHARDS: usize = 32;
 
 /// Shard count sized to the deployment: the worker count rounded up to a
-/// power of two (so [`crate::partition`]'s multiplicative hash spreads
-/// evenly), capped at [`MAX_SHARDS`] — and never more shards than the
-/// cache has frames, so small pools do not split into zero-capacity
-/// slices.
+/// power of two (so [`shard_of`]'s multiplicative hash spreads evenly),
+/// capped at [`MAX_SHARDS`] — and never more shards than the cache has
+/// frames, so small pools do not split into zero-capacity slices.
 fn auto_shard_count(workers: usize, cap_pages: usize) -> usize {
     workers
         .max(1)
         .next_power_of_two()
         .min(MAX_SHARDS)
         .min(cap_pages.max(1))
+}
+
+/// The frame shard of `key` among `shards`: Fibonacci hashing of the
+/// packed `(store, page)` (store in the high half) — multiply by 2⁶⁴/φ,
+/// keep the high bits. Deterministic across platforms, and well spread
+/// even for the dense sequential page ids the allocators hand out.
+fn shard_of(key: BufKey, shards: usize) -> usize {
+    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+    let packed = (u64::from(key.store) << 32) | u64::from(key.page.0);
+    (packed.wrapping_mul(GOLDEN) >> 32) as usize % shards
 }
 
 /// A frame's decoded node, or why its bytes do not decode.
@@ -340,7 +349,7 @@ impl SharedPageCache {
             .iter()
             .map(PageFile::open)
             .collect::<Result<Vec<_>, _>>()?;
-        validate_stores(&files, heights, PageFile::page_bytes)?;
+        validate_stores(&files, heights)?;
         let page_bytes = files
             .first()
             .map(PageFile::page_bytes)
@@ -449,7 +458,7 @@ impl SharedPageCache {
 
     #[inline]
     fn shard(&self, key: BufKey) -> &Shard {
-        &self.shards[crate::partition::partition_key(key, self.shards.len())]
+        &self.shards[shard_of(key, self.shards.len())]
     }
 
     /// Flips every completed `Reading` frame in `s` to `Resident` and
@@ -625,9 +634,7 @@ impl SharedPageCache {
             s.lru.pin(key);
         }
         self.harvest(s);
-        let ticket = self
-            .queue
-            .submit_frame(key.store as usize, key, key.page, front);
+        let ticket = self.queue.submit_frame(key, front);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
         self.physical_by_store[key.store as usize].fetch_add(1, Ordering::Relaxed);
@@ -1083,9 +1090,9 @@ impl SharedPageCache {
     }
 }
 
-/// One worker's backend over a [`SharedPageCache`]: the fifth file
+/// One worker's backend over a [`SharedPageCache`]: the production file
 /// backend. Private path buffers, private logical LRU, private
-/// [`IoStats`] — charged through [`crate::pool::hierarchy_access`]
+/// [`IoStats`] — charged through `pool::hierarchy_access`
 /// exactly like [`crate::BufferPool`], so the logical accounting is
 /// bit-identical to a private-buffer worker of the same capacity — while
 /// every charged miss is *served* by the shared frame layer
@@ -1430,8 +1437,6 @@ impl NodeAccessMut for SharedCacheFileAccess {
 }
 
 impl UpdateBackend for SharedCacheFileAccess {
-    type File = PageFile;
-
     fn store_file(&self, store: u8) -> &PageFile {
         self.files[store as usize]
             .as_ref()
@@ -2120,5 +2125,25 @@ mod tests {
         assert_eq!(c.shard_count(), 4, "capacity bounds the shard count");
         assert_eq!(c.capacity(), 4);
         assert_eq!(auto(3, 64).shard_count(), 4);
+    }
+
+    #[test]
+    fn sequential_pages_spread_over_frame_shards() {
+        // The page allocators hand out dense sequential ids; the frame
+        // hash must not collapse them onto a few shards, and the same
+        // page of two stores must be free to land apart.
+        let shards = 8;
+        let mut counts = vec![0usize; shards];
+        for page in 0..800u32 {
+            counts[shard_of(BufKey::new(0, PageId(page)), shards)] += 1;
+        }
+        for (b, &n) in counts.iter().enumerate() {
+            assert!((50..=150).contains(&n), "shard {b} got {n} of 800 pages");
+        }
+        assert!((0..64u32).any(|p| {
+            shard_of(BufKey::new(0, PageId(p)), shards)
+                != shard_of(BufKey::new(1, PageId(p)), shards)
+        }));
+        assert_eq!(shard_of(BufKey::new(3, PageId(9)), 1), 0);
     }
 }

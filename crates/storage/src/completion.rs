@@ -1,7 +1,7 @@
 //! The submission/completion queue behind the shared page cache.
 //!
 //! Frame reads of [`crate::SharedPageCache`] become *submissions* —
-//! `submit_frame(lane, key)` → [`Ticket`] — serviced by per-lane worker
+//! `submit_frame(key)` → [`Ticket`] — serviced by per-lane worker
 //! threads over their own [`PageFile`] handles. A reader that needs the
 //! bytes checks the ticket ([`CompletionQueue::is_complete`]) or parks on
 //! it ([`CompletionQueue::await_ticket`]) and then collects the outcome.
@@ -27,7 +27,6 @@ use crate::codec::StorageError;
 use crate::file::PageFile;
 use crate::inflight::InflightTables;
 use crate::lru::BufKey;
-use crate::page::PageId;
 
 /// Why a queue lock can fail: a thread panicked while holding it.
 const POISONED: &str = "completion queue state lock poisoned by a panicking thread";
@@ -152,20 +151,14 @@ impl CompletionQueue {
         self.shared().reads.len()
     }
 
-    /// Submits a read of `key` (slot `local` of `lane`'s file) whose bytes
-    /// the caller collects with [`CompletionQueue::take_page`] once the
+    /// Submits a read of `key` (page `key.page` of lane `key.store`'s
+    /// file) whose bytes the caller collects with `take_page` once the
     /// ticket completes. `front` puts it ahead of the lane's queued jobs,
     /// as a demand, instead of behind them, as a read-ahead.
-    pub(crate) fn submit_frame(
-        &self,
-        lane: usize,
-        key: BufKey,
-        local: PageId,
-        front: bool,
-    ) -> Ticket {
+    pub(crate) fn submit_frame(&self, key: BufKey, front: bool) -> Ticket {
         let sh = self.shared();
         let mut st = sh.state.lock().expect(POISONED);
-        let ticket = st.submit(lane, key, local, front);
+        let ticket = st.submit(key, front);
         sh.outstanding.store(st.outstanding, Ordering::Relaxed);
         drop(st);
         // All lane workers share one wakeup condvar but each claims only
@@ -211,7 +204,7 @@ impl CompletionQueue {
     }
 
     /// Blocks until `ticket` completes (successfully or not — the outcome
-    /// travels with [`CompletionQueue::take_page`]).
+    /// travels with `take_page`).
     pub fn await_ticket(&self, ticket: Ticket) {
         if ticket.is_none() {
             return;
@@ -347,8 +340,8 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
         // page count. Retry once against the physical file length before
         // declaring the read failed.
         let read = file
-            .read_page_into(job.local, &mut buf)
-            .or_else(|_| file.read_slot_fresh(job.local, &mut buf));
+            .read_page_into(job.key.page, &mut buf)
+            .or_else(|_| file.read_slot_fresh(job.key.page, &mut buf));
         if read.is_ok() {
             shared.reads[lane].fetch_add(1, Ordering::Relaxed);
         }
@@ -373,6 +366,7 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
 mod tests {
     use super::*;
     use crate::codec::{self, META_BYTES};
+    use crate::page::PageId;
     use crate::temp::TempDir;
 
     fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PathBuf {
@@ -401,7 +395,7 @@ mod tests {
     }
 
     fn submit(q: &CompletionQueue, page: u32) -> Ticket {
-        q.submit_frame(0, BufKey::new(0, PageId(page)), PageId(page), false)
+        q.submit_frame(BufKey::new(0, PageId(page)), false)
     }
 
     #[test]

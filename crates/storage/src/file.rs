@@ -12,9 +12,7 @@
 //! file instead of merely bumping a counter. Given the same LRU capacity
 //! it reports *bit-identical* `disk_accesses` to [`crate::BufferPool`]
 //! (the storage-conformance suite enforces this across SJ1–SJ5); what
-//! changes is that the misses are real. It is generic over the page file:
-//! [`crate::ShardedFileAccess`] is the same backend over
-//! [`crate::ShardedPageFile`]s.
+//! changes is that the misses are real.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -30,7 +28,7 @@ use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::path::PathBuffer;
 use crate::pool::IoStats;
-use crate::writeback::{DirtyPages, FreeChain, UpdateBackend, WritablePageFile};
+use crate::writeback::{DirtyPages, FreeChain, UpdateBackend};
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.
 ///
@@ -202,12 +200,8 @@ impl PageFile {
     }
 
     /// Reads one slot without touching the read counter — open-time chain
-    /// recovery only (also used by the sharded manifest layer).
-    pub(crate) fn read_slot_uncounted(
-        &mut self,
-        id: PageId,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StorageError> {
+    /// recovery only.
+    fn read_slot_uncounted(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         let off = self.slot_offset(id)?;
         buf.resize(self.slot_bytes(), 0);
         self.file.seek(SeekFrom::Start(off))?;
@@ -398,8 +392,7 @@ impl PageFile {
     /// Reads one slot into `buf` (resized to `slot_bytes`). Charges one
     /// read. When a read latency is injected, the sleep happens *before*
     /// the read, modelling positioning time; open-time chain recovery
-    /// ([`PageFile::read_slot_uncounted`]) stays undelayed, matching its
-    /// uncounted status.
+    /// stays undelayed, matching its uncounted status.
     pub fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         if let Some(lat) = self.read_latency {
             std::thread::sleep(lat);
@@ -491,68 +484,10 @@ impl PageFile {
     }
 }
 
-impl WritablePageFile for PageFile {
-    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        PageFile::write_page(self, id, payload)
-    }
-
-    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        PageFile::read_page_into(self, id, buf)
-    }
-
-    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        PageFile::allocate(self, payload)
-    }
-
-    fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        PageFile::release(self, id)
-    }
-
-    fn page_count(&self) -> u32 {
-        PageFile::page_count(self)
-    }
-
-    fn page_bytes(&self) -> usize {
-        PageFile::page_bytes(self)
-    }
-
-    fn slot_bytes(&self) -> usize {
-        PageFile::slot_bytes(self)
-    }
-
-    fn entry_format(&self) -> EntryFormat {
-        PageFile::entry_format(self)
-    }
-
-    fn meta(&self) -> &[u8; META_BYTES] {
-        PageFile::meta(self)
-    }
-
-    fn set_meta(&mut self, meta: [u8; META_BYTES]) {
-        PageFile::set_meta(self, meta)
-    }
-
-    fn free_pages(&self) -> &[PageId] {
-        PageFile::free_pages(self)
-    }
-
-    fn flush(&mut self) -> Result<(), StorageError> {
-        PageFile::flush(self)
-    }
-
-    fn reset_io(&mut self) {
-        PageFile::reset_io(self)
-    }
-}
-
-/// Shared constructor validation of the file backends ([`FileNodeAccess`]
-/// over either file shape, [`crate::SharedPageCache`]): one backing store
-/// per tree height, and every store on one logical page size.
-pub(crate) fn validate_stores<T>(
-    stores: &[T],
-    heights: &[usize],
-    page_bytes: impl Fn(&T) -> usize,
-) -> Result<(), StorageError> {
+/// Shared constructor validation of the file backends ([`FileNodeAccess`],
+/// [`crate::SharedPageCache`]): one backing store per tree height, and
+/// every store on one logical page size.
+pub(crate) fn validate_stores(stores: &[PageFile], heights: &[usize]) -> Result<(), StorageError> {
     if stores.len() != heights.len() {
         return Err(StorageError::Corrupt(format!(
             "{} backing stores but {} tree heights",
@@ -561,25 +496,15 @@ pub(crate) fn validate_stores<T>(
         )));
     }
     if let Some((first, rest)) = stores.split_first() {
-        let expected = page_bytes(first);
         for s in rest {
-            let found = page_bytes(s);
-            if found != expected {
-                return Err(StorageError::PageSizeMismatch {
-                    expected: expected as u32,
-                    found: found as u32,
-                });
-            }
+            s.check_page_bytes(first.page_bytes())?;
         }
     }
     Ok(())
 }
 
 /// The file-backed [`NodeAccess`] backend: path buffers + one LRU buffer
-/// over a set of page files, one per participating tree/store — single
-/// [`PageFile`]s by default, or [`crate::ShardedPageFile`]s
-/// ([`crate::ShardedFileAccess`]), where each miss reads from whichever
-/// shard owns the page.
+/// over a set of [`PageFile`]s, one per participating tree/store.
 ///
 /// The access logic replays [`crate::BufferPool`]'s decision sequence
 /// exactly — path probe, path install, LRU access — so with the same LRU
@@ -589,8 +514,8 @@ pub(crate) fn validate_stores<T>(
 /// executor gets it as [`PageNode::Failed`] when it asks for that page's
 /// node, and stops with a typed error.
 #[derive(Debug)]
-pub struct FileNodeAccess<F: WritablePageFile = PageFile> {
-    files: Vec<F>,
+pub struct FileNodeAccess {
+    files: Vec<PageFile>,
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
     stats: IoStats,
@@ -602,16 +527,16 @@ pub struct FileNodeAccess<F: WritablePageFile = PageFile> {
     dirty: DirtyPages,
 }
 
-impl<F: WritablePageFile> FileNodeAccess<F> {
+impl FileNodeAccess {
     /// Backend over `files` (store `i` resolves to `files[i]`) with an LRU
     /// buffer of `cap_pages` and one path buffer per entry of `heights`.
     pub fn with_capacity_pages(
-        files: Vec<F>,
+        files: Vec<PageFile>,
         cap_pages: usize,
         heights: &[usize],
         policy: EvictionPolicy,
     ) -> Result<Self, StorageError> {
-        validate_stores(&files, heights, |f: &F| f.page_bytes())?;
+        validate_stores(&files, heights)?;
         Ok(FileNodeAccess {
             files,
             lru: LruBuffer::with_policy(cap_pages, policy),
@@ -627,14 +552,14 @@ impl<F: WritablePageFile> FileNodeAccess<F> {
     /// a byte budget over the files' logical page size (the paper quotes
     /// buffer sizes in KBytes).
     pub fn new(
-        files: Vec<F>,
+        files: Vec<PageFile>,
         buffer_bytes: usize,
         heights: &[usize],
         policy: EvictionPolicy,
     ) -> Result<Self, StorageError> {
         let page_bytes = files
             .first()
-            .map(|f| f.page_bytes())
+            .map(PageFile::page_bytes)
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
         Self::with_capacity_pages(files, buffer_bytes / page_bytes, heights, policy)
     }
@@ -647,14 +572,14 @@ impl<F: WritablePageFile> FileNodeAccess<F> {
 
     /// The backing file of `store` (counter inspection, reopening).
     #[inline]
-    pub fn file(&self, store: u8) -> &F {
+    pub fn file(&self, store: u8) -> &PageFile {
         &self.files[store as usize]
     }
 
     /// The backing file of `store`, mutably — the update path allocates
     /// and releases pages through this.
     #[inline]
-    pub fn file_mut(&mut self, store: u8) -> &mut F {
+    pub fn file_mut(&mut self, store: u8) -> &mut PageFile {
         &mut self.files[store as usize]
     }
 
@@ -704,12 +629,12 @@ impl<F: WritablePageFile> FileNodeAccess<F> {
     }
 
     /// Consumes the backend, returning the page files.
-    pub fn into_files(self) -> Vec<F> {
+    pub fn into_files(self) -> Vec<PageFile> {
         self.files
     }
 }
 
-impl<F: WritablePageFile> NodeAccess for FileNodeAccess<F> {
+impl NodeAccess for FileNodeAccess {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
         let miss = crate::pool::hierarchy_access(
             &mut self.lru,
@@ -771,7 +696,7 @@ impl<F: WritablePageFile> NodeAccess for FileNodeAccess<F> {
     }
 }
 
-impl<F: WritablePageFile> NodeAccessMut for FileNodeAccess<F> {
+impl NodeAccessMut for FileNodeAccess {
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
         // The page's contents are now the payload: a failed earlier read
         // of it no longer stands.
@@ -804,14 +729,12 @@ impl<F: WritablePageFile> NodeAccessMut for FileNodeAccess<F> {
     }
 }
 
-impl<F: WritablePageFile> UpdateBackend for FileNodeAccess<F> {
-    type File = F;
-
-    fn store_file(&self, store: u8) -> &F {
+impl UpdateBackend for FileNodeAccess {
+    fn store_file(&self, store: u8) -> &PageFile {
         self.file(store)
     }
 
-    fn store_file_mut(&mut self, store: u8) -> &mut F {
+    fn store_file_mut(&mut self, store: u8) -> &mut PageFile {
         self.file_mut(store)
     }
 }
@@ -867,6 +790,33 @@ mod tests {
         assert!(matches!(
             f.read_page(PageId(2)).unwrap_err(),
             StorageError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn a_retired_sharded_manifest_is_a_typed_error() {
+        // The manifest of the retired sharded layout: magic "RSJS",
+        // version 2, shard count, page count, free head, then one shard
+        // byte per page.
+        let dir = TempDir::new("pagefile").unwrap();
+        let manifest = |pages: u32| {
+            let mut bytes = b"RSJS".to_vec();
+            bytes.extend_from_slice(&[2, 0, 0, 0]);
+            bytes.extend_from_slice(&4u32.to_le_bytes());
+            bytes.extend_from_slice(&pages.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend((0..pages).map(|p| (p % 4) as u8));
+            let path = dir.file(&format!("m{pages}.rsj"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        };
+        assert!(matches!(
+            PageFile::open(manifest(60)).unwrap_err(),
+            StorageError::BadMagic { found } if &found == b"RSJS"
+        ));
+        assert!(matches!(
+            PageFile::open(manifest(10)).unwrap_err(),
+            StorageError::Truncated { .. }
         ));
     }
 

@@ -12,15 +12,13 @@ use std::time::Instant;
 
 use crate::codec::StorageError;
 use crate::lru::BufKey;
-use crate::page::PageId;
 
-/// One submitted read: the global buffer key it serves, and the slot to
-/// read in its lane's physical file.
+/// One submitted read: the buffer key it serves — page `key.page` of
+/// the file of lane `key.store`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadJob {
     pub ticket: u64,
     pub key: BufKey,
-    pub local: PageId,
     /// When the submission entered its lane — completion lag (submit →
     /// complete, queue wait included) is measured from here.
     pub submitted: Instant,
@@ -65,20 +63,19 @@ impl InflightTables {
         }
     }
 
-    /// Issues a ticket for a read of `key` (slot `local` of `lane`'s
-    /// file) whose outcome the caller takes back with
-    /// [`InflightTables::take_page`]. `front` queues it ahead of the
-    /// lane's other jobs (a demand) instead of behind them (a
-    /// read-ahead).
-    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId, front: bool) -> u64 {
+    /// Issues a ticket for a read of `key` on lane `key.store` whose
+    /// outcome the caller takes back with [`InflightTables::take_page`].
+    /// `front` queues it ahead of the lane's other jobs (a demand)
+    /// instead of behind them (a read-ahead).
+    pub fn submit(&mut self, key: BufKey, front: bool) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         let job = ReadJob {
             ticket,
             key,
-            local,
             submitted: Instant::now(),
         };
+        let lane = usize::from(key.store);
         if front {
             self.lanes[lane].push_front(job);
         } else {
@@ -170,6 +167,7 @@ impl InflightTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PageId;
 
     fn key(p: u32) -> BufKey {
         BufKey::new(0, PageId(p))
@@ -178,9 +176,9 @@ mod tests {
     #[test]
     fn tickets_complete_out_of_order_and_fold_into_the_frontier() {
         let mut t = InflightTables::new(1);
-        let a = t.submit(0, key(1), PageId(1), false);
-        let b = t.submit(0, key(2), PageId(2), false);
-        let c = t.submit(0, key(3), PageId(3), false);
+        let a = t.submit(key(1), false);
+        let b = t.submit(key(2), false);
+        let c = t.submit(key(3), false);
         let (ja, jb, jc) = (
             t.claim(0).unwrap(),
             t.claim(0).unwrap(),
@@ -199,9 +197,9 @@ mod tests {
     #[test]
     fn front_submissions_and_promotion_jump_the_lane() {
         let mut t = InflightTables::new(1);
-        t.submit(0, key(1), PageId(1), false);
-        let b = t.submit(0, key(2), PageId(2), false);
-        let c = t.submit(0, key(3), PageId(3), true);
+        t.submit(key(1), false);
+        let b = t.submit(key(2), false);
+        let c = t.submit(key(3), true);
         assert_eq!(t.claim(0).unwrap().ticket, c, "a demand goes first");
         t.promote(0, b);
         assert_eq!(t.claim(0).unwrap().ticket, b, "a promoted read-ahead next");
@@ -210,8 +208,8 @@ mod tests {
     #[test]
     fn abandon_queued_completes_dropped_tickets() {
         let mut t = InflightTables::new(2);
-        let a = t.submit(0, key(1), PageId(1), false);
-        let b = t.submit(1, key(2), PageId(2), true);
+        let a = t.submit(key(1), false);
+        let b = t.submit(BufKey::new(1, PageId(2)), true);
         t.abandon_queued();
         assert!(t.is_done(a) && t.is_done(b));
         assert_eq!(t.outstanding, 0);

@@ -35,17 +35,12 @@
 //!   version/page sizes, fixed-size node slots) and its typed
 //!   [`StorageError`]s;
 //! * [`PageFile`] — a page file over `std::fs::File` with read/write
-//!   counters;
+//!   counters; one tree is one page file;
 //! * [`FileNodeAccess`] — the file-backed [`NodeAccess`] backend: the same
 //!   path-buffer → LRU hierarchy as [`BufferPool`] (bit-identical
 //!   `disk_accesses` at equal capacity), but every miss performs an actual,
 //!   blocking page read from the backing file; a read that fails reaches
 //!   the executor as a typed error ([`PageNode::Failed`]);
-//! * [`ShardedPageFile`] / [`ShardedFileAccess`] — one tree split across N
-//!   physical files (manifest + per-shard page files; the R\*-tree crate
-//!   partitions by root-entry subtree), so shared-nothing parallel workers
-//!   read genuinely disjoint files; the backend is [`FileNodeAccess`] over
-//!   the sharded files, with a per-shard read split;
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the production
 //!   backend: a latched shared frame cache over the [`CompletionQueue`]
 //!   (one reader lane per store): sharded, pin-counted frames walking an
@@ -58,8 +53,6 @@
 //!   ([`NodeAccess::page_node`]). Each handle hides read latency one way
 //!   only: it reads ahead along the executor's announced §4.3 schedule
 //!   ([`NodeAccess::hint`]);
-//! * [`partition`](mod@partition) — the one Fibonacci-hash partitioner
-//!   shared by the cache's frame shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -68,20 +61,19 @@
 //! * [`NodeAccessMut`] — the write half of the access boundary: dirty-page
 //!   registration with pin-aware write-back on eviction and explicit
 //!   flush, charged in [`IoStats::page_writes`] ([`BufferPool`] is the
-//!   accounting oracle, the file backends write for real through the
-//!   shared [`writeback`] machinery);
-//! * persistent **free-page lists** in [`PageFile`] and
-//!   [`ShardedPageFile`] — header-chained marker slots,
-//!   `allocate`/`release` with reuse-before-append, validated on open;
-//! * [`WritablePageFile`] / [`UpdateBackend`] — the traits the R\*-tree
-//!   crate's `OpenTree` drives incremental `insert`/`delete` through;
+//!   accounting oracle, the file backends write for real);
+//! * a persistent **free-page list** in [`PageFile`] — header-chained
+//!   marker slots, `allocate`/`release` with reuse-before-append,
+//!   validated on open;
+//! * [`UpdateBackend`] — the trait the R\*-tree crate's `OpenTree`
+//!   drives incremental `insert`/`delete` through;
 //! * [`EntryFormat`] — the on-disk entry layout: 40-byte f64 entries by
 //!   default, or the paper's literal 20-byte f32 entries (outward-rounded)
 //!   behind a header flag;
 //! * [`BulkPageWriter`] — the streaming bulk-build write path: append-
-//!   order page emission over either file shape with one reused codec
-//!   scratch buffer; header and manifest are written only by `finish`, so
-//!   a build that crashes mid-emission reads back as a typed error;
+//!   order page emission into a [`PageFile`] with one reused codec
+//!   scratch buffer; the header is written only by `finish`, so a build
+//!   that crashes mid-emission reads back as a typed error;
 //! * [`PageStore`] grows the same reuse-before-append free list plus
 //!   opt-in [`PageEvent`] tracking, keeping the in-memory allocator in
 //!   lockstep with the files.
@@ -97,10 +89,8 @@ pub mod heapfile;
 mod inflight;
 pub mod lru;
 pub mod page;
-pub mod partition;
 pub mod path;
 pub mod pool;
-pub mod sharded;
 pub mod temp;
 pub mod writeback;
 
@@ -114,9 +104,7 @@ pub use file::{FileNodeAccess, PageFile, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
-pub use partition::{partition, partition_key};
 pub use path::PathBuffer;
 pub use pool::{BufKey, BufferPool, IoStats};
-pub use sharded::{ShardedFileAccess, ShardedPageFile};
 pub use temp::TempDir;
-pub use writeback::{UpdateBackend, WritablePageFile};
+pub use writeback::UpdateBackend;

@@ -1,36 +1,31 @@
-//! Shared write-back machinery of the file-backed access backends, and
-//! the traits the update path is generic over.
+//! Write-back machinery of the blocking file backend, and the trait the
+//! update path is generic over.
 //!
 //! The accounting backends ([`crate::BufferPool`]) model write-back as a
-//! counter; the file backends must hold the actual bytes of every dirty
-//! page until the write happens. [`DirtyPages`] is that payload table of
-//! [`crate::FileNodeAccess`] (over either file shape):
-//! `stash` registers a mutated page's encoded bytes, `write_back_evicted`
-//! drains the LRU's dirty-eviction queue into physical writes, and
-//! `flush_all` writes whatever is still dirty. Keeping this in one place
-//! mirrors `pool::hierarchy_access` on the read side — the backends cannot
-//! drift apart in *when* they write any more than in when they read.
+//! counter; a file backend must hold the actual bytes of every dirty page
+//! until the write happens. `DirtyPages` is that payload table of
+//! [`crate::FileNodeAccess`]: `stash` registers a mutated page's encoded
+//! bytes, `write_back_evicted` drains the LRU's dirty-eviction queue into
+//! physical writes, and `flush_all` writes whatever is still dirty.
 //!
-//! [`WritablePageFile`] abstracts the physical file an updatable tree sits
-//! on ([`crate::PageFile`] or [`crate::ShardedPageFile`]): in-place page
-//! overwrite, free-list `allocate`/`release`, metadata, flush.
-//! [`UpdateBackend`] ties a write-capable access backend to its files; the
-//! R\*-tree crate's `OpenTree` drives updates through it.
+//! [`UpdateBackend`] ties a write-capable access backend to the
+//! [`PageFile`] of each store; the R\*-tree crate's `OpenTree` drives
+//! updates through it.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::access::NodeAccessMut;
-use crate::codec::{EntryFormat, StorageError, META_BYTES};
+use crate::codec::{EntryFormat, StorageError};
+use crate::file::PageFile;
 use crate::lru::{BufKey, LruBuffer};
 use crate::page::PageId;
 use crate::pool::IoStats;
 
-/// The in-memory mirror of a persistent free-page chain, shared by
-/// [`crate::PageFile`] and [`crate::ShardedPageFile`]: the LIFO list
-/// (last element = chain head) and its set twin, kept coherent in one
-/// place — O(1) double-release detection, duplicate rejection, and the
-/// pop/undo protocol around a fallible slot write. The physical marker
-/// writes stay with the owners (single-file slots vs shard-local slots).
+/// The in-memory mirror of [`PageFile`]'s persistent free-page chain:
+/// the LIFO list (last element = chain head) and its set twin, kept
+/// coherent in one place — O(1) double-release detection, duplicate
+/// rejection, and the pop/undo protocol around a fallible slot write.
+/// The physical marker writes stay with the file.
 #[derive(Debug, Default)]
 pub(crate) struct FreeChain {
     list: Vec<PageId>,
@@ -114,8 +109,7 @@ impl FreeChain {
     /// range, landing on a genuine free marker, terminating (cycle-
     /// guarded by the page count) — and returns it oldest-release-first
     /// (head last), ready for [`FreeChain::restore`]. `read_slot` reads
-    /// the raw slot of a global page id; both file types recover their
-    /// chains through this one walker so the validation cannot drift.
+    /// the raw slot of a page id.
     pub fn walk(
         head: Option<PageId>,
         page_count: u32,
@@ -284,63 +278,14 @@ impl DirtyPages {
     }
 }
 
-/// A physical page file the update path can mutate in place: overwrite,
-/// reuse-before-append allocation off a persistent free list, release back
-/// onto it, metadata, flush. Implemented by [`crate::PageFile`] and
-/// [`crate::ShardedPageFile`].
-pub trait WritablePageFile {
-    /// Overwrites an existing page.
-    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
-
-    /// Reads one page slot into `buf`.
-    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError>;
-
-    /// Allocates a page for `payload`: the head of the free chain if one
-    /// exists (reuse-before-append), a fresh appended slot otherwise.
-    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
-
-    /// Releases a page onto the free chain (writes its chain marker).
-    fn release(&mut self, id: PageId) -> Result<(), StorageError>;
-
-    /// Number of page slots.
-    fn page_count(&self) -> u32;
-
-    /// Logical page size in bytes.
-    fn page_bytes(&self) -> usize;
-
-    /// Physical bytes per page slot.
-    fn slot_bytes(&self) -> usize;
-
-    /// The on-disk entry format.
-    fn entry_format(&self) -> EntryFormat;
-
-    /// The owner metadata blob.
-    fn meta(&self) -> &[u8; META_BYTES];
-
-    /// Replaces the owner metadata (persisted on flush).
-    fn set_meta(&mut self, meta: [u8; META_BYTES]);
-
-    /// The free list, oldest release first (last element = chain head).
-    fn free_pages(&self) -> &[PageId];
-
-    /// Persists headers (page counts, free head, metadata) durably.
-    fn flush(&mut self) -> Result<(), StorageError>;
-
-    /// Zeroes the file's read/write counters.
-    fn reset_io(&mut self);
-}
-
-/// A write-capable access backend over one [`WritablePageFile`] per store
-/// — what an incrementally-updated tree drives its I/O through.
+/// A write-capable access backend over one [`PageFile`] per store —
+/// what an incrementally-updated tree drives its I/O through.
 pub trait UpdateBackend: NodeAccessMut {
-    /// The physical file type.
-    type File: WritablePageFile;
-
     /// The backing file of `store`.
-    fn store_file(&self, store: u8) -> &Self::File;
+    fn store_file(&self, store: u8) -> &PageFile;
 
     /// The backing file of `store`, mutably (allocate/release/metadata).
-    fn store_file_mut(&mut self, store: u8) -> &mut Self::File;
+    fn store_file_mut(&mut self, store: u8) -> &mut PageFile;
 
     /// Whether this backend *instance* accepts writes. A type can be
     /// write-capable while a particular instance is not (a read handle of

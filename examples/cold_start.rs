@@ -1,18 +1,14 @@
-//! Cold starts over persistent trees: plain, warm, sharded.
+//! Cold starts over persistent trees: cold, warm, updated.
 //!
-//! Builds the preset-(A) relations, saves both R*-trees to disk (single
-//! page files *and* subtree-sharded files), then runs the same SJ4 join
-//! three ways and prints the I/O story of each:
+//! Builds the preset-(A) relations, saves both R*-trees to disk (one page
+//! file per tree), then runs the same SJ4 join three ways and prints the
+//! I/O story of each:
 //!
 //! 1. **cold** — a fresh `FileNodeAccess`: every buffer miss is a real
 //!    page read;
 //! 2. **warm** — the same accountant again: the LRU still holds the
 //!    working set;
-//! 3. **sharded** — a cold `ShardedFileAccess` (the same file backend
-//!    over 4 files per tree, split by root-entry subtree): the physical
-//!    layout a shared-nothing parallel deployment would put on separate
-//!    spindles;
-//! 4. **update-then-rejoin** — the write path: `OpenTree` deletes and
+//! 3. **update-then-rejoin** — the write path: `OpenTree` deletes and
 //!    inserts against the *open* R file (reads charged through the same
 //!    buffer hierarchy, dirty pages written back on eviction/flush, split
 //!    pages allocated off the persistent free list), then the same SJ4
@@ -22,12 +18,11 @@
 //! Run with: `cargo run --release --example cold_start`
 
 use rsj::prelude::*;
-use rsj::storage::{ShardedFileAccess, ShardedPageFile, TempDir};
+use rsj::storage::TempDir;
 use rsj_storage::IoStats;
 
 const PAGE: usize = 1024;
 const BUFFER: usize = 32 * PAGE;
-const SHARDS: usize = 4;
 
 fn build(objs: &[rsj::datagen::SpatialObject]) -> RTree {
     let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
@@ -65,22 +60,14 @@ fn main() {
         }
     );
 
-    // Multi-file layouts get their own subdirectories (TempDir cleanup is
-    // recursive): plain page files, the sharded manifest + N shards, and
-    // the update-phase working copy.
+    // The saved files and the update phase's working copies get their own
+    // subdirectories (TempDir cleanup is recursive).
     let dir = TempDir::new("cold-start").expect("temp dir");
     dir.subdir("plain").expect("subdir");
-    dir.subdir("sharded").expect("subdir");
     dir.subdir("updated").expect("subdir");
     let (rp, sp) = (dir.file("plain/r.rsj"), dir.file("plain/s.rsj"));
     r.save_to(&rp).expect("save R");
     s.save_to(&sp).expect("save S");
-    let (rb, sb) = (
-        dir.file("sharded/r.sharded.rsj"),
-        dir.file("sharded/s.sharded.rsj"),
-    );
-    r.save_sharded_to(&rb, SHARDS).expect("save sharded R");
-    s.save_sharded_to(&sb, SHARDS).expect("save sharded S");
 
     // Reopen everything cold from disk.
     let (rf, sf) = (
@@ -118,41 +105,7 @@ fn main() {
         ),
     );
 
-    // 3: sharded cold run — same accounting, reads spread over 4 files.
-    let (rsh, ssh) = (
-        RTree::open_sharded_from(&rb).expect("reopen sharded R"),
-        RTree::open_sharded_from(&sb).expect("reopen sharded S"),
-    );
-    let access = ShardedFileAccess::new(
-        vec![
-            ShardedPageFile::open(&rb).expect("open sharded R"),
-            ShardedPageFile::open(&sb).expect("open sharded S"),
-        ],
-        BUFFER,
-        &heights,
-        EvictionPolicy::Lru,
-    )
-    .expect("sharded backend");
-    let (sharded, access) = rsj_core::spatial_join_with_access(&rsh, &ssh, plan, false, access);
-    assert_eq!(
-        sharded.stats.io, cold.stats.io,
-        "sharding never moves IoStats"
-    );
-    let (r_split, s_split) = (access.read_split(0), access.read_split(1));
-    let per_shard: Vec<u64> = r_split.iter().zip(&s_split).map(|(a, b)| a + b).collect();
-    report(
-        "sharded",
-        sharded.stats.io,
-        &format!("  (reads per shard: {per_shard:?})"),
-    );
-
-    println!(
-        "\nthe cold and sharded runs report identical disk accesses — the paper's\n\
-         metric is a property of the schedule and the buffer, not of where the\n\
-         bytes live."
-    );
-
-    // 4: the write path — update R *in place* on an open file, then rejoin.
+    // 3: the write path — update R *in place* on an open file, then rejoin.
     let rup = dir.file("updated/r.rsj");
     std::fs::copy(&rp, &rup).expect("copy R file");
     let mut open = rsj::rtree::OpenFileTree::open(&rup, BUFFER / PAGE).expect("open for update");

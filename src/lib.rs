@@ -15,15 +15,12 @@
 //!   pluggable [`storage::NodeAccess`] boundary with its backends: the
 //!   private [`storage::BufferPool`] (the accounting oracle), the
 //!   blocking [`storage::FileNodeAccess`] over real [`storage::PageFile`]s
-//!   (endian-stable binary page format, typed
-//!   [`storage::StorageError`]s) or over trees split across N physical
-//!   files by subtree partition ([`storage::ShardedFileAccess`]), and the
-//!   production [`storage::SharedPageCache`], the one buffer concurrent
-//!   workers share, whose handles read ahead along the executor's read
-//!   schedule — trees saved with
-//!   [`rtree::RTree::save_to`] (or [`rtree::RTree::save_sharded_to`])
-//!   reopen cold via [`rtree::RTree::open_from`] /
-//!   [`rtree::RTree::open_sharded_from`] and join with honest cold/warm
+//!   (one file per tree; endian-stable binary page format, typed
+//!   [`storage::StorageError`]s), and the production
+//!   [`storage::SharedPageCache`], the one buffer concurrent workers
+//!   share, whose handles read ahead along the executor's read
+//!   schedule — trees saved with [`rtree::RTree::save_to`] reopen cold
+//!   via [`rtree::RTree::open_from`] and join with honest cold/warm
 //!   buffer behavior — and stay **updatable in place**:
 //!   [`rtree::OpenTree`] runs incremental inserts and deletes against the
 //!   open file through the buffer manager (dirty-page write-back,
@@ -134,12 +131,12 @@ pub mod prelude {
     pub use rsj_datagen::TestId;
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
     pub use rsj_rtree::{
-        DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenShardedTree, OpenTree,
-        RTree, RTreeParams, TreeRoot,
+        DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenTree, RTree, RTreeParams,
+        TreeRoot,
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
+        PageFile, PageRef, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

@@ -1,14 +1,15 @@
 //! Bulk-built-file conformance: trees produced by the *streaming* bulk
-//! loaders (`load_to_file` / `load_to_sharded` — pages emitted bottom-up
-//! through `BulkPageWriter`, never a whole tree in RAM) must be
+//! loader (`load_to_file` — pages emitted bottom-up through
+//! `BulkPageWriter`, never a whole tree in RAM) must be
 //! indistinguishable from their in-memory `str_load`/`hilbert_load`
 //! counterparts once opened:
 //!
-//! * `RTree::open_from` / `open_sharded_from` loads are validator-clean
-//!   and hold the identical data-entry multiset;
+//! * `RTree::open_from` loads are validator-clean and hold the identical
+//!   data-entry multiset;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
-//!   backend: plain file, sharded, and the latched shared page cache.
+//!   backend: the blocking file backend and the latched shared page
+//!   cache.
 //!
 //! Exact `IoStats` are *not* pinned against the in-memory tree: the
 //! streaming STR build keeps the order its leaf packing induces for upper
@@ -19,13 +20,11 @@ use rsj::prelude::*;
 use rsj::rtree::bulk::{self, BulkConfig, BulkLayout};
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    BufferPool, CacheConfig, FileNodeAccess, NodeAccess, PageFile, ShardedFileAccess,
-    ShardedPageFile, SharedPageCache, TempDir,
+    BufferPool, CacheConfig, FileNodeAccess, NodeAccess, PageFile, SharedPageCache, TempDir,
 };
 
 const PAGE: usize = 1024;
 const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
 
 fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
     let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
@@ -56,8 +55,6 @@ struct Fixture {
     _dir: TempDir,
     r_path: std::path::PathBuf,
     s_path: std::path::PathBuf,
-    r_sharded: std::path::PathBuf,
-    s_sharded: std::path::PathBuf,
     /// The streamed files reopened cold.
     r_file: RTree,
     s_file: RTree,
@@ -81,12 +78,9 @@ impl Fixture {
 
         let dir = TempDir::new("bulk-conformance").unwrap();
         let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
-        let (r_sharded, s_sharded) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
         let cfg = BulkConfig::default();
         bulk::load_to_file(params, &items_r, layout, cfg, &r_path).unwrap();
         bulk::load_to_file(params, &items_s, layout, cfg, &s_path).unwrap();
-        bulk::load_to_sharded(params, &items_r, layout, cfg, &r_sharded, SHARDS).unwrap();
-        bulk::load_to_sharded(params, &items_s, layout, cfg, &s_sharded, SHARDS).unwrap();
 
         let r_file = RTree::open_from(&r_path).unwrap();
         let s_file = RTree::open_from(&s_path).unwrap();
@@ -97,8 +91,6 @@ impl Fixture {
             _dir: dir,
             r_path,
             s_path,
-            r_sharded,
-            s_sharded,
             r_file,
             s_file,
         }
@@ -160,14 +152,6 @@ fn streamed_files_load_validator_clean_with_identical_entries() {
             entry_multiset(&fx.s_mem),
             "{tag}: S entries"
         );
-        // The sharded twin carries the same tree.
-        let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-        r_back.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_eq!(
-            entry_multiset(&r_back),
-            entry_multiset(&fx.r_mem),
-            "{tag}: sharded R entries"
-        );
     }
 }
 
@@ -190,8 +174,6 @@ fn bulk_files_join_identically_across_all_backends() {
             },
         )
         .unwrap();
-        let r_shard_tree = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-        let s_shard_tree = RTree::open_sharded_from(&fx.s_sharded).unwrap();
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{:?}/{name}", fx.layout);
 
@@ -209,23 +191,6 @@ fn bulk_files_join_identically_across_all_backends() {
             )
             .unwrap();
             assert_eq!(run(&fx.r_file, &fx.s_file, plan, file), want, "{tag}: file");
-
-            // Sharded backend over the streamed sharded twins.
-            let sharded = ShardedFileAccess::with_capacity_pages(
-                vec![
-                    ShardedPageFile::open(&fx.r_sharded).unwrap(),
-                    ShardedPageFile::open(&fx.s_sharded).unwrap(),
-                ],
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap();
-            assert_eq!(
-                run(&r_shard_tree, &s_shard_tree, plan, sharded),
-                want,
-                "{tag}: sharded"
-            );
 
             // Latched shared page cache.
             cache.clear();

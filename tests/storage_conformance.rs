@@ -1,8 +1,7 @@
 //! Storage-backend conformance: the [`rsj_storage::NodeAccess`]
 //! implementations — the in-memory [`BufferPool`] and the persistent
-//! [`FileNodeAccess`] over single page files and over
-//! subtree-partitioned ones ([`ShardedFileAccess`]) — must be
-//! interchangeable under every join algorithm. (The shared page cache has
+//! [`FileNodeAccess`] over page files — must be interchangeable under
+//! every join algorithm. (The shared page cache has
 //! its own suite, `tests/warm_cache.rs`.)
 //!
 //! For SJ1–SJ5 on presets A and B the suite asserts, at the same LRU
@@ -26,8 +25,7 @@
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_storage::{
-    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, ShardedFileAccess, StorageError,
-    TempDir,
+    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, StorageError, TempDir,
 };
 
 const PAGE: usize = 1024;
@@ -68,9 +66,6 @@ fn run<A: NodeAccess>(
     (sorted_ids(&res.pairs), res.stats.io, access)
 }
 
-/// Shard count the sharded fixture files are partitioned into.
-const SHARDS: usize = 4;
-
 struct Fixture {
     r: RTree,
     s: RTree,
@@ -78,9 +73,6 @@ struct Fixture {
     _dir: TempDir,
     r_path: std::path::PathBuf,
     s_path: std::path::PathBuf,
-    /// Sharded twins of the page files (subtree partition, 4 shards).
-    r_sharded: std::path::PathBuf,
-    s_sharded: std::path::PathBuf,
     /// The trees reopened cold from disk.
     r_file: RTree,
     s_file: RTree,
@@ -95,9 +87,6 @@ impl Fixture {
         let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
         r.save_to(&r_path).unwrap();
         s.save_to(&s_path).unwrap();
-        let (r_sharded, s_sharded) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-        r.save_sharded_to(&r_sharded, SHARDS).unwrap();
-        s.save_sharded_to(&s_sharded, SHARDS).unwrap();
         let r_file = RTree::open_from(&r_path).unwrap();
         let s_file = RTree::open_from(&s_path).unwrap();
         Fixture {
@@ -106,8 +95,6 @@ impl Fixture {
             _dir: dir,
             r_path,
             s_path,
-            r_sharded,
-            s_sharded,
             r_file,
             s_file,
         }
@@ -128,20 +115,6 @@ impl Fixture {
         ];
         FileNodeAccess::with_capacity_pages(files, cap_pages, &self.heights(), EvictionPolicy::Lru)
             .unwrap()
-    }
-
-    fn sharded_access(&self) -> ShardedFileAccess {
-        let files = vec![
-            rsj_storage::ShardedPageFile::open(&self.r_sharded).unwrap(),
-            rsj_storage::ShardedPageFile::open(&self.s_sharded).unwrap(),
-        ];
-        ShardedFileAccess::with_capacity_pages(
-            files,
-            CAP_PAGES,
-            &self.heights(),
-            EvictionPolicy::Lru,
-        )
-        .unwrap()
     }
 }
 
@@ -318,78 +291,6 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     assert_eq!(got.comparisons, want.comparisons);
 }
 
-#[test]
-fn sharded_backend_agrees_on_pairs_and_disk_accesses() {
-    // Sharding redistributes pages over physical files but preserves the
-    // global page-id space, so traversal — and with it every buffer
-    // decision — is identical to the single-file backend.
-    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
-        // The sharded files round-trip the trees page-identically.
-        let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-        assert_eq!(r_back.len(), fx.r.len());
-        assert_eq!(r_back.root(), fx.r.root());
-        for id in 0..fx.r.page_store().len() {
-            let p = rsj_storage::PageId(id as u32);
-            assert_eq!(r_back.node(p), fx.r.node(p), "{test:?}: page {p}");
-        }
-        let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
-
-        for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
-
-            let (pairs, io, access) = run(&r_back, &s_back, plan, fx.sharded_access());
-            assert_eq!(pairs, want_pairs, "{label}: sharded pairs");
-            assert_eq!(io, want_io, "{label}: sharded I/O");
-            // Honesty: every reported disk access was a real page read
-            // from some shard.
-            let real_reads = access.file(0).reads() + access.file(1).reads();
-            assert_eq!(real_reads, io.disk_accesses, "{label}: real reads");
-            // The reads actually spread over the shard files.
-            let touched = (0..SHARDS)
-                .filter(|&i| access.file(0).shard_reads(i) > 0)
-                .count();
-            assert!(touched > 1, "{label}: all reads landed on one shard");
-        }
-    }
-}
-
-#[test]
-fn sharded_parallel_workers_read_disjoint_subtree_files() {
-    // The point of the subtree partition: shared-nothing workers joining
-    // disjoint subtree pairs pull from disjoint physical files. Run the
-    // file-backed parallel join with per-worker sharded handles and pin
-    // that the summed I/O matches the in-memory shared-nothing run.
-    use rsj_core::parallel_spatial_join_with_access;
-    let fx = Fixture::new(TestId::A, 0.003);
-    let workers = 4;
-    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
-    let cfg = JoinConfig::with_buffer(CAP_PAGES * PAGE);
-    let seq = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
-    let par =
-        parallel_spatial_join_with_access(&r_back, &s_back, JoinPlan::sj4(), true, workers, |_w| {
-            let files = vec![
-                rsj_storage::ShardedPageFile::open(&fx.r_sharded).unwrap(),
-                rsj_storage::ShardedPageFile::open(&fx.s_sharded).unwrap(),
-            ];
-            ShardedFileAccess::with_capacity_pages(
-                files,
-                CAP_PAGES / workers,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap()
-        });
-    assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
-    assert_eq!(
-        par.stats.io.disk_accesses, seq.stats.io.disk_accesses,
-        "sharded file-backed shared-nothing matches in-memory shared-nothing I/O"
-    );
-}
-
 /// Cuts a page file back to its header: every page read then fails.
 fn truncate_to_header(path: &std::path::Path) {
     std::fs::OpenOptions::new()
@@ -422,7 +323,6 @@ fn file_backend_read_failure_panics_the_result_returning_drivers() {
     assert!(!full.is_empty());
     let workers = 2;
     let seq = fx.file_access();
-    let sharded = fx.sharded_access();
     let per_worker: Vec<_> = (0..workers)
         .map(|_| std::sync::Mutex::new(Some(fx.file_access())))
         .collect();
@@ -445,12 +345,7 @@ fn file_backend_read_failure_panics_the_result_returning_drivers() {
     )
     .unwrap();
     let mut stages = [Some(stage0), Some(probe)];
-    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
     truncate_to_header(&fx.r_path);
-    for i in 0..SHARDS {
-        truncate_to_header(&sharded.file(0).shard_file_path(i));
-    }
 
     let storage_failure = |msg: Option<String>, what: &str| {
         let msg = msg.unwrap_or_else(|| panic!("{what}: returned a result"));
@@ -459,10 +354,6 @@ fn file_backend_read_failure_panics_the_result_returning_drivers() {
     storage_failure(
         panic_message(|| spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, seq)),
         "sequential join over a truncated file",
-    );
-    storage_failure(
-        panic_message(|| spatial_join_with_access(&r_back, &s_back, plan, true, sharded)),
-        "sequential join over truncated shard files",
     );
     // A worker's failure reaches the caller as the worker's panic.
     let msg = panic_message(|| {
@@ -504,7 +395,7 @@ fn join_until_failure<A: NodeAccess>(r: &RTree, s: &RTree, access: A) -> (usize,
 }
 
 #[test]
-fn file_backend_read_failure_is_a_typed_cursor_error_over_single_and_sharded_files() {
+fn file_backend_read_failure_is_a_typed_cursor_error_over_single_files() {
     // The backend opens fine; R's file then loses every page under it.
     // The blocking file backend keeps the failed read and the cursor —
     // which holds the in-memory trees — stops with it, typed, instead of
@@ -514,16 +405,5 @@ fn file_backend_read_failure_is_a_typed_cursor_error_over_single_and_sharded_fil
     truncate_to_header(&fx.r_path);
     let (pairs, err) = join_until_failure(&fx.r_file, &fx.s_file, access);
     assert_eq!(pairs, 0, "the R root never read");
-    assert!(matches!(err, StorageError::Io(_)), "{err}");
-
-    // Same over the sharded layout: every shard file of R truncated.
-    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
-    let access = fx.sharded_access();
-    for i in 0..SHARDS {
-        truncate_to_header(&access.file(0).shard_file_path(i));
-    }
-    let (pairs, err) = join_until_failure(&r_back, &s_back, access);
-    assert_eq!(pairs, 0, "the sharded R root never read");
     assert!(matches!(err, StorageError::Io(_)), "{err}");
 }

@@ -14,23 +14,15 @@
 //!   joined from the updated files' roots alone through a
 //!   `SharedPageCache` handle (nodes decoded from the pages it reads);
 //! * free-list reuse really happens (deletions release pages, insertions
-//!   reuse them, the file does not grow monotonically);
-//! * the `sharded` backend conformance-matches on the updated files too;
-//! * the sharded migration policy holds: pages stay in their birth shard,
-//!   the manifest stays authoritative, fresh pages fall to the partition
-//!   fallback — and none of it moves a single accounting number.
+//!   reuse them, the file does not grow monotonically).
 
 use rsj::prelude::*;
 use rsj_core::exec::JoinCursor;
 use rsj_core::spatial_join_with_access;
-use rsj_storage::{
-    partition, BufferPool, CacheConfig, IoStats, NodeAccess, PageId, ShardedPageFile,
-    SharedPageCache, TempDir,
-};
+use rsj_storage::{BufferPool, CacheConfig, IoStats, NodeAccess, PageId, SharedPageCache, TempDir};
 
 const PAGE: usize = 1024;
 const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
 
 fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
     let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
@@ -286,79 +278,6 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
     let back = RTree::open_from(&path).unwrap();
     back.validate().unwrap();
     assert_eq!(back.len(), tree.len());
-}
-
-#[test]
-fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-sharded").unwrap();
-    let (rb, sb) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-    r0.save_sharded_to(&rb, SHARDS).unwrap();
-    s0.save_sharded_to(&sb, SHARDS).unwrap();
-    let initial_pages = r0.allocated_pages() as u32;
-
-    let script = update_script(&data.r, 260, 41);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenShardedTree::open_sharded(&rb, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-
-    // Reopen: page-identical to the oracle, across shards.
-    let r_file = RTree::open_sharded_from(&rb).unwrap();
-    r_file.validate().unwrap();
-    assert_page_identical(&r_file, &r_oracle, "sharded/R");
-
-    // Migration policy: the manifest is authoritative. After this much
-    // churn, at least one live page sits on a shard a *fresh* subtree
-    // partition would no longer choose (it stayed in its birth shard)...
-    let manifest = ShardedPageFile::open(&rb).unwrap();
-    let fresh_assignment = r_oracle.shard_assignment(SHARDS);
-    let migrated = (0..r_oracle.allocated_pages())
-        .filter(|&id| {
-            let p = PageId(id as u32);
-            manifest.shard_of(p).unwrap() != usize::from(fresh_assignment[id])
-        })
-        .count();
-    assert!(
-        migrated > 0,
-        "churn this heavy must leave some page outside its fresh subtree shard"
-    );
-    // ...and pages appended during updates carry the partition fallback.
-    assert!(manifest.page_count() >= initial_pages);
-    for id in initial_pages..manifest.page_count() {
-        let got = manifest.shard_of(PageId(id)).unwrap();
-        assert_eq!(
-            got,
-            partition(u64::from(id), SHARDS),
-            "fresh page {id} must use the partition fallback shard"
-        );
-    }
-    drop(manifest);
-
-    // And none of that moves the accounting: sharded joins on the updated
-    // files match the in-memory oracle bit-for-bit.
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
-    for (plan, name) in [(JoinPlan::sj2(), "SJ2"), (JoinPlan::sj4(), "SJ4")] {
-        let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-        let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-        let access = ShardedFileAccess::with_capacity_pages(
-            vec![
-                ShardedPageFile::open(&rb).unwrap(),
-                ShardedPageFile::open(&sb).unwrap(),
-            ],
-            CAP_PAGES,
-            &heights,
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        let (pairs, io, access) = run(&r_file, &s0, plan, access);
-        assert_eq!(pairs, want_pairs, "{name}: sharded pairs on updated file");
-        assert_eq!(io, want_io, "{name}: sharded IoStats on updated file");
-        let real = access.file(0).reads() + access.file(1).reads();
-        assert_eq!(real, io.disk_accesses, "{name}: honest reads");
-    }
 }
 
 #[test]
